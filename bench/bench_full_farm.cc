@@ -18,8 +18,7 @@ namespace {
 
 // Perf-trajectory counters accumulated across the five farm runs.
 // Passed through RunFarm (no file-scope state) so the suite can be run
-// several times in one process — e.g. sweeping FTMS_THREADS settings —
-// with independent totals.
+// several times in one process with independent totals.
 struct FarmTotals {
   int64_t cycles = 0;
   int64_t reads = 0;

@@ -30,21 +30,6 @@ void BufferPool::Release(int64_t tracks) {
   PublishOccupancy();
 }
 
-Status BufferPool::AccumulateShard(const ShardDelta& shard) {
-  if (!unlimited() && in_use_ + shard.peak() > capacity_) {
-    ++failed_acquires_;
-    if (failed_counter_ != nullptr) failed_counter_->Add(1);
-    return Status::ResourceExhausted(
-        "buffer pool full: shard peak " + std::to_string(shard.peak()) +
-        ", free " + std::to_string(capacity_ - in_use_));
-  }
-  peak_ = std::max(peak_, in_use_ + shard.peak());
-  in_use_ += shard.net();
-  assert(in_use_ >= 0);
-  PublishOccupancy();
-  return Status::Ok();
-}
-
 void BufferPool::BindInstruments(Gauge* in_use, Gauge* peak,
                                  Counter* failed) {
   in_use_gauge_ = in_use;

@@ -31,45 +31,6 @@ class BufferPool {
   // Returns `tracks` buffers to the pool.
   void Release(int64_t tracks);
 
-  // Deterministic sharded accumulation: a ShardDelta records one shard's
-  // acquire/release traffic locally (no pool access, so shards can run on
-  // worker threads), and AccumulateShard folds it into the pool. The fold
-  // applies each shard's running peak on top of the occupancy at fold
-  // time, so folding the shards of a cycle in a FIXED order (cluster
-  // order) yields in_use and peak values that do not depend on how many
-  // threads executed the shards. When every release inside the sharded
-  // region is deferred past the folds (as the cycle schedulers do),
-  // occupancy is monotone within the region and the folded peak equals
-  // the exact serial peak.
-  class ShardDelta {
-   public:
-    void Acquire(int64_t tracks) {
-      net_ += tracks;
-      peak_ = peak_ > net_ ? peak_ : net_;
-    }
-    void Release(int64_t tracks) { net_ -= tracks; }
-
-    int64_t net() const { return net_; }
-    // Maximum of the shard's running net over its lifetime (>= 0).
-    int64_t peak() const { return peak_; }
-    bool empty() const { return net_ == 0 && peak_ == 0; }
-    void Reset() {
-      net_ = 0;
-      peak_ = 0;
-    }
-
-   private:
-    int64_t net_ = 0;
-    int64_t peak_ = 0;
-  };
-
-  // Folds one shard's traffic into the pool, as if its acquires/releases
-  // had run inline at this point. Fails with RESOURCE_EXHAUSTED (applying
-  // nothing) when a finite capacity would be exceeded at the shard's
-  // peak; only the measuring (unlimited) configuration is used on the
-  // scheduler hot path, where this cannot fail.
-  Status AccumulateShard(const ShardDelta& shard);
-
   int64_t in_use() const { return in_use_; }
   int64_t capacity() const { return capacity_; }
   bool unlimited() const { return capacity_ <= 0; }
@@ -80,15 +41,11 @@ class BufferPool {
 
   // Observability: mirrors occupancy / peak into the given gauges and
   // failed acquires into the counter on every state change. Null
-  // arguments are allowed; unbinding is passing all nulls. Acquire,
-  // Release and AccumulateShard are only called from serial points (the
-  // sharded cycle path batches through ShardDelta), so plain gauge writes
-  // suffice.
+  // arguments are allowed; unbinding is passing all nulls.
   void BindInstruments(Gauge* in_use, Gauge* peak, Counter* failed);
 
   // Time-series hook: records occupancy as `series_name` into `recorder`.
-  // The owning scheduler calls SampleTimeSeries from its serial cycle-end
-  // point, so the curve is byte-identical at any thread count.
+  // The owning scheduler calls SampleTimeSeries at the end of each cycle.
   void BindTimeSeries(TimeSeriesRecorder* recorder,
                       const std::string& series_name);
   void SampleTimeSeries(int64_t t_us) const;

@@ -82,6 +82,29 @@ void ExportSelection(const Selection& selection, MetricsRegistry* registry) {
   }
 }
 
+// The FTMS_PQ_KERNEL pin, resolved once: null when unset or "auto", and
+// when invalid (which warns; the dispatcher then auto-selects).
+const PqKernel* EnvPin() {
+  static const PqKernel* const pin = []() -> const PqKernel* {
+    const char* env = std::getenv("FTMS_PQ_KERNEL");
+    if (env == nullptr) return nullptr;
+    StatusOr<const PqKernel*> parsed = ParsePqKernelSpec(env);
+    if (!parsed.ok()) {
+      FTMS_LOG(Warning) << "FTMS_PQ_KERNEL: " << parsed.status().ToString()
+                        << "; auto-selecting";
+      return nullptr;
+    }
+    if (*parsed != nullptr) {
+      FTMS_LOG(Info) << "pq kernel pinned via FTMS_PQ_KERNEL="
+                     << (*parsed)->name;
+    }
+    return *parsed;
+  }();
+  return pin;
+}
+
+// Calibration: times every compiled kernel once, on first call. Only
+// auto-selection, the selection report and the kernel gauges need it.
 const Selection& GetSelection() {
   static const Selection selection = [] {
     Selection sel;
@@ -98,17 +121,7 @@ const Selection& GetSelection() {
       }
       sel.report.push_back(m);
     }
-    bool pinned = false;
-    if (const char* env = std::getenv("FTMS_PQ_KERNEL")) {
-      StatusOr<const PqKernel*> pin = ParsePqKernelSpec(env);
-      if (!pin.ok()) {
-        FTMS_LOG(Warning) << "FTMS_PQ_KERNEL: " << pin.status().ToString()
-                          << "; auto-selecting";
-      } else if (*pin != nullptr) {
-        best = *pin;
-        pinned = true;
-      }
-    }
+    if (const PqKernel* pin = EnvPin()) best = pin;
     sel.active = best;
     for (PqKernelMeasurement& m : sel.report) {
       m.selected = std::string_view(m.name) == best->name;
@@ -116,14 +129,24 @@ const Selection& GetSelection() {
                      << (m.supported ? "" : "unsupported, ") << m.gb_per_s
                      << " GB/s" << (m.selected ? "  <= selected" : "");
     }
-    if (pinned) {
-      FTMS_LOG(Info) << "pq kernel pinned via FTMS_PQ_KERNEL="
-                     << best->name;
-    }
     ExportSelection(sel, MetricsRegistry::GlobalIfEnabled());
     return sel;
   }();
   return selection;
+}
+
+// The kernel the dispatcher hands out, resolved once on first use. A
+// valid pin skips calibration unless the global registry is live, whose
+// kernel gauges publish the measurements.
+const PqKernel& Dispatched() {
+  static const PqKernel* const kernel = [] {
+    const PqKernel* pin = EnvPin();
+    if (pin != nullptr && MetricsRegistry::GlobalIfEnabled() == nullptr) {
+      return pin;
+    }
+    return GetSelection().active;
+  }();
+  return *kernel;
 }
 
 std::atomic<const PqKernel*> g_pinned{nullptr};
@@ -149,7 +172,7 @@ const PqKernel& ActivePqKernel() {
   if (const PqKernel* pinned = g_pinned.load(std::memory_order_acquire)) {
     return *pinned;
   }
-  return *GetSelection().active;
+  return Dispatched();
 }
 
 const char* ActivePqKernelName() { return ActivePqKernel().name; }

@@ -26,7 +26,7 @@ class MetricsRegistry;
 //
 // Dispatch mirrors parity/xor_kernels.h: the dispatcher
 // micro-benchmarks every kernel the binary was compiled with AND the
-// CPU can run, once at startup, and picks the fastest;
+// CPU can run, once on first use, and picks the fastest;
 // FTMS_PQ_KERNEL=<name> pins the choice instead (FTMS_PQ_KERNEL=scalar
 // is how CI proves all kernels agree byte for byte).
 //
@@ -65,7 +65,9 @@ std::span<const PqKernel> CompiledPqKernels();
 
 // The dispatched kernel: the FTMS_PQ_KERNEL pin if set and valid,
 // otherwise the micro-benchmark winner. Selection runs once on first
-// use and is thread-safe.
+// use and is thread-safe. A valid pin skips the micro-benchmark unless
+// the global metrics registry is enabled (its kernel gauges report the
+// measurements).
 const PqKernel& ActivePqKernel();
 const char* ActivePqKernelName();
 
@@ -97,7 +99,8 @@ struct PqKernelMeasurement {
 };
 
 // The measurements the dispatcher took (one entry per compiled kernel,
-// in CompiledPqKernels() order). Triggers selection on first call.
+// in CompiledPqKernels() order). Runs the micro-benchmark on first
+// call, pinned or not.
 std::span<const PqKernelMeasurement> PqKernelSelectionReport();
 
 // Looks up a compiled kernel by name; InvalidArgument on unknown names

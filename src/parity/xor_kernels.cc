@@ -76,6 +76,29 @@ void ExportSelection(const Selection& selection, MetricsRegistry* registry) {
   }
 }
 
+// The FTMS_XOR_KERNEL pin, resolved once: null when unset or "auto", and
+// when invalid (which warns; the dispatcher then auto-selects).
+const XorKernel* EnvPin() {
+  static const XorKernel* const pin = []() -> const XorKernel* {
+    const char* env = std::getenv("FTMS_XOR_KERNEL");
+    if (env == nullptr) return nullptr;
+    StatusOr<const XorKernel*> parsed = ParseXorKernelSpec(env);
+    if (!parsed.ok()) {
+      FTMS_LOG(Warning) << "FTMS_XOR_KERNEL: " << parsed.status().ToString()
+                        << "; auto-selecting";
+      return nullptr;
+    }
+    if (*parsed != nullptr) {
+      FTMS_LOG(Info) << "xor kernel pinned via FTMS_XOR_KERNEL="
+                     << (*parsed)->name;
+    }
+    return *parsed;
+  }();
+  return pin;
+}
+
+// Calibration: times every compiled kernel once, on first call. Only
+// auto-selection, the selection report and the kernel gauges need it.
 const Selection& GetSelection() {
   static const Selection selection = [] {
     Selection sel;
@@ -92,17 +115,7 @@ const Selection& GetSelection() {
       }
       sel.report.push_back(m);
     }
-    bool pinned = false;
-    if (const char* env = std::getenv("FTMS_XOR_KERNEL")) {
-      StatusOr<const XorKernel*> pin = ParseXorKernelSpec(env);
-      if (!pin.ok()) {
-        FTMS_LOG(Warning) << "FTMS_XOR_KERNEL: " << pin.status().ToString()
-                          << "; auto-selecting";
-      } else if (*pin != nullptr) {
-        best = *pin;
-        pinned = true;
-      }
-    }
+    if (const XorKernel* pin = EnvPin()) best = pin;
     sel.active = best;
     for (XorKernelMeasurement& m : sel.report) {
       m.selected = std::string_view(m.name) == best->name;
@@ -110,14 +123,24 @@ const Selection& GetSelection() {
                      << (m.supported ? "" : "unsupported, ") << m.gb_per_s
                      << " GB/s" << (m.selected ? "  <= selected" : "");
     }
-    if (pinned) {
-      FTMS_LOG(Info) << "xor kernel pinned via FTMS_XOR_KERNEL="
-                     << best->name;
-    }
     ExportSelection(sel, MetricsRegistry::GlobalIfEnabled());
     return sel;
   }();
   return selection;
+}
+
+// The kernel the dispatcher hands out, resolved once on first use. A
+// valid pin skips calibration unless the global registry is live, whose
+// kernel gauges publish the measurements.
+const XorKernel& Dispatched() {
+  static const XorKernel* const kernel = [] {
+    const XorKernel* pin = EnvPin();
+    if (pin != nullptr && MetricsRegistry::GlobalIfEnabled() == nullptr) {
+      return pin;
+    }
+    return GetSelection().active;
+  }();
+  return *kernel;
 }
 
 std::atomic<const XorKernel*> g_pinned{nullptr};
@@ -142,7 +165,7 @@ const XorKernel& ActiveXorKernel() {
   if (const XorKernel* pinned = g_pinned.load(std::memory_order_acquire)) {
     return *pinned;
   }
-  return *GetSelection().active;
+  return Dispatched();
 }
 
 const char* ActiveXorKernelName() { return ActiveXorKernel().name; }

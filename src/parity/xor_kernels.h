@@ -19,8 +19,8 @@ class MetricsRegistry;
 // passes over dst; a multi-source kernel makes ONE pass, keeping the
 // destination in registers while it streams the sources. Like Linux's
 // xor_blocks, the dispatcher micro-benchmarks every kernel the binary
-// was compiled with AND the CPU can run, once at startup, and picks the
-// fastest; FTMS_XOR_KERNEL=<name> pins the choice instead (and
+// was compiled with AND the CPU can run, once on first use, and picks
+// the fastest; FTMS_XOR_KERNEL=<name> pins the choice instead (and
 // FTMS_XOR_KERNEL=scalar is how CI proves all kernels agree byte for
 // byte).
 //
@@ -52,7 +52,9 @@ std::span<const XorKernel> CompiledXorKernels();
 
 // The dispatched kernel: the FTMS_XOR_KERNEL pin if set and valid,
 // otherwise the micro-benchmark winner. Selection runs once on first
-// use and is thread-safe.
+// use and is thread-safe. A valid pin skips the micro-benchmark unless
+// the global metrics registry is enabled (its kernel gauges report the
+// measurements).
 const XorKernel& ActiveXorKernel();
 const char* ActiveXorKernelName();
 
@@ -71,7 +73,8 @@ struct XorKernelMeasurement {
 };
 
 // The measurements the dispatcher took (one entry per compiled kernel,
-// in CompiledXorKernels() order). Triggers selection on first call.
+// in CompiledXorKernels() order). Runs the micro-benchmark on first
+// call, pinned or not.
 std::span<const XorKernelMeasurement> XorKernelSelectionReport();
 
 // Looks up a compiled kernel by name; InvalidArgument on unknown names

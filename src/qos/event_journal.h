@@ -52,9 +52,9 @@ struct QosEvent {
 // MetricsRegistry / Tracer: components hold a nullable EventJournal* and
 // Global() is only handed out when FTMS_QOS=1 (or SetGlobalEnabled(true)),
 // so a detached site costs one untaken branch. All producers append at
-// serial points only (cycle boundaries, failure injection, rebuild steps),
-// which makes the journal byte-identical at any FTMS_THREADS setting; the
-// internal mutex merely guards concurrent rigs sharing the global journal.
+// cycle boundaries, failure injection and rebuild steps, which makes the
+// journal byte-identical from run to run; the internal mutex merely
+// guards concurrent rigs sharing the global journal.
 //
 // Memory is bounded: the journal keeps at most `max_events` entries
 // (FTMS_QOS_MAX_EVENTS, default 262144 ≈ 11 MB) as a ring — when full,

@@ -85,9 +85,9 @@ std::vector<SloStatus> EvaluateSlos(
 std::vector<SloSpec> DefaultSlos(Scheme scheme, int parity_group_size);
 
 // Attributes QoS facts to streams. One ledger observes ONE scheduler: the
-// scheduler calls OnFailure / OnCycleEnd at serial points only (failure
-// injection sites and the end-of-cycle fold), so every exported number and
-// DumpJson() byte is identical at any FTMS_THREADS setting.
+// scheduler calls OnFailure / OnCycleEnd only at failure injection sites
+// and at cycle end, so every exported number and DumpJson() byte is
+// identical from run to run.
 //
 // SLOs are re-evaluated each cycle; a transition into breach appends one
 // kSloBreach journal event (per SLO, edge-triggered) and the current
@@ -111,9 +111,8 @@ class QosLedger {
 
   // Time-series hook: per-cycle max SLO budget burn and active breach
   // count, as `<prefix>.slo_burn_max` / `<prefix>.active_breaches`.
-  // Pushed from OnCycleEnd, which runs at the scheduler's serial
-  // cycle-end fold, so the curves are thread-count invariant. Null
-  // recorder detaches.
+  // Pushed from OnCycleEnd at the scheduler's cycle end. Null recorder
+  // detaches.
   void BindTimeSeries(TimeSeriesRecorder* recorder,
                       const std::string& prefix);
 
@@ -146,8 +145,7 @@ class QosLedger {
   }
 
   // Deterministic JSON dump of the per-stream records, SLO statuses and
-  // ledger totals (the thread-count-invariance contract is tested on
-  // these bytes).
+  // ledger totals (the repeatability contract is tested on these bytes).
   std::string DumpJson(std::span<const std::unique_ptr<Stream>> streams,
                        const std::string& indent = "  ") const;
 

@@ -1,6 +1,7 @@
 #include "reliability/markov_sim.h"
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -122,17 +123,22 @@ void PublishEstimate(const ReliabilitySimConfig& c, const char* kind,
 }
 
 // Runs `c.trials` independent trials, each on its own deterministic RNG
-// stream, parallelized over the shared pool. The per-trial results are
-// gathered positionally and folded into the estimate in trial order, so
-// the returned numbers are bit-identical for any `c.threads`.
+// stream, parallelized over the pool `c.threads` selects. The per-trial
+// results are gathered positionally and folded into the estimate in trial
+// order, so the returned numbers are bit-identical for any `c.threads`.
 template <typename StopFn>
 ReliabilityEstimate RunTrials(const ReliabilitySimConfig& c,
                               int cluster_size, const char* kind,
                               StopFn stop) {
   std::vector<double> times(static_cast<size_t>(c.trials), 0.0);
-  const int threads =
-      c.threads > 0 ? c.threads : ThreadPool::DefaultThreadCount();
-  ThreadPool* pool = threads > 1 ? &ThreadPool::Shared() : nullptr;
+  std::unique_ptr<ThreadPool> local_pool;
+  ThreadPool* pool = nullptr;
+  if (c.threads > 1) {
+    local_pool = std::make_unique<ThreadPool>(c.threads);
+    pool = local_pool.get();
+  } else if (c.threads == 0 && ThreadPool::DefaultThreadCount() > 1) {
+    pool = &ThreadPool::Shared();
+  }
   ParallelFor(pool, 0, c.trials, [&](int64_t lo, int64_t hi) {
     TrialScratch scratch;
     for (int64_t t = lo; t < hi; ++t) {

@@ -41,10 +41,11 @@ struct ReliabilitySimConfig {
   double mttr_hours = 10.0;
   int trials = 200;
   uint64_t seed = 1234;
-  // Worker threads for the trial loop: 0 = ThreadPool::DefaultThreadCount()
-  // (the FTMS_THREADS env var, else hardware concurrency), 1 = run inline
-  // on the calling thread. Trials are independent and each runs on its own
-  // RNG stream (seed ^ SplitMix64Hash(trial)), so every estimate is
+  // Worker threads for the trial loop: 0 = the process-wide
+  // ThreadPool::Shared() (FTMS_THREADS, else hardware concurrency), 1 = run
+  // inline on the calling thread, N > 1 = a pool of N workers that lives
+  // for the call. Trials are independent and each runs on its own RNG
+  // stream (seed ^ SplitMix64Hash(trial)), so every estimate is
   // bit-identical at any thread count.
   int threads = 0;
   // Metrics sink override: null uses MetricsRegistry::Global() when

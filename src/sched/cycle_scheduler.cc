@@ -12,21 +12,17 @@ namespace ftms {
 
 // Registry cells and the trace track for one scheduler instance, resolved
 // once at construction so every recording site is a pointer chase plus an
-// atomic add — never a name lookup. Per-cluster and per-disk counters are
-// plain atomic Counters: in the cluster-parallel cycle path each cluster's
-// cells are touched by exactly one worker (the shards partition clusters),
-// so the cells are effectively sharded by construction, and the commutative
-// adds keep every exported total bit-identical at any thread count.
+// atomic add — never a name lookup.
 struct CycleScheduler::Instruments {
   MetricsRegistry* registry = nullptr;
   Tracer* tracer = nullptr;
   int32_t tid = -1;
 
-  // Hot-path cells (written from cluster kernels).
+  // Hot-path cells (written while the cycle's reads run).
   std::vector<Counter*> cluster_degraded;     // reads that hit a failed disk
   std::vector<Counter*> cluster_reconstruct;  // tracks rebuilt from parity
 
-  // Serial end-of-cycle cells.
+  // End-of-cycle cells.
   std::vector<Counter*> disk_busy;  // busy slots per disk, cumulative
   Counter* cycles = nullptr;
   Counter* data_reads = nullptr;
@@ -46,34 +42,6 @@ struct CycleScheduler::Instruments {
 };
 
 namespace {
-
-// Below this many active streams a cycle runs inline: the pool dispatch
-// (queue + wakeup + completion wait) costs more than the cycle itself.
-// The guard reads only scheduler state, so the serial/parallel decision —
-// and therefore the output — is identical at every thread count.
-constexpr int kMinActiveStreamsForParallel = 128;
-
-// Folds one shard's counters into the shared metrics. Every field is a
-// sum except max_shift_depth (a running max); both folds are commutative
-// and associative, so chunk-granularity scratch stays thread-count
-// invariant.
-void FoldMetrics(SchedulerMetrics& into, const SchedulerMetrics& shard) {
-  into.cycles += shard.cycles;
-  into.data_reads += shard.data_reads;
-  into.parity_reads += shard.parity_reads;
-  into.failed_reads += shard.failed_reads;
-  into.dropped_reads += shard.dropped_reads;
-  into.tracks_delivered += shard.tracks_delivered;
-  into.hiccups += shard.hiccups;
-  into.reconstructed += shard.reconstructed;
-  into.terminated_streams += shard.terminated_streams;
-  into.degradation_events += shard.degradation_events;
-  into.shift_cascades += shard.shift_cascades;
-  into.max_shift_depth =
-      std::max(into.max_shift_depth, shard.max_shift_depth);
-  into.verified_tracks += shard.verified_tracks;
-  into.verify_failures += shard.verify_failures;
-}
 
 #ifndef NDEBUG
 // Cross-checks the devirtualized geometry against the virtual layout on a
@@ -119,12 +87,6 @@ CycleScheduler::CycleScheduler(const SchedulerConfig& config,
                         ? config_.slots_per_disk
                         : config_.disk.TracksPerCycle(CycleSeconds());
   slots_used_.assign(static_cast<size_t>(disks_->num_disks()), 0);
-  if (config_.threads == 0) {
-    exec_pool_ = &ThreadPool::Shared();
-  } else if (config_.threads > 1) {
-    owned_pool_ = std::make_unique<ThreadPool>(config_.threads);
-    exec_pool_ = owned_pool_.get();
-  }  // threads == 1 (or negative): exec_pool_ stays null, always serial
   InitInstruments();
   InitQos();
   InitTimeSeries();
@@ -250,8 +212,7 @@ void CycleScheduler::InitTimeSeries() {
   if (ts_ == nullptr) return;
   // Instance-numbered prefix, mirroring the trace-track naming: several
   // rigs sharing one recorder keep distinct series, and the numbering is
-  // process-deterministic so dumps stay byte-identical across runs and
-  // thread counts.
+  // process-deterministic so dumps stay byte-identical across runs.
   static std::atomic<int> instance{0};
   ts_prefix_ =
       std::string(SchemeAbbrev(config_.scheme)) + "." +
@@ -309,33 +270,35 @@ StatusOr<StreamId> CycleScheduler::AddStream(const MediaObject& object) {
 void CycleScheduler::RunCycle() {
   FTMS_PROF_SCOPE("sched/cycle");
   if (instr_ == nullptr) {
-    BeginCycle();
-    DoRunCycle();
-    pool_.Release(pending_release_);
-    pending_release_ = 0;
-    mid_cycle_failed_.Clear();
-    ++cycle_;
-    ++metrics_.cycles;
-    if (qos_active_) EndCycleQos();
-    if (ts_ != nullptr) SampleTimeSeries();
+    StepCycle();
     return;
   }
   const int64_t cycle_start_us = SimTimeMicros();
   const auto wall_start = std::chrono::steady_clock::now();
-  BeginCycle();
+  StepCycle();
+  const double wall_us =
+      std::chrono::duration<double, std::micro>(
+          std::chrono::steady_clock::now() - wall_start)
+          .count();
+  SampleCycleInstruments(cycle_start_us, wall_us);
+}
+
+void CycleScheduler::StepCycle() {
+  slots_used_.assign(slots_used_.size(), 0);
   DoRunCycle();
+  // The pool is unlimited, so a failed acquire means the scheduler's own
+  // accounting went wrong somewhere: loud in debug builds.
+  const Status status = pool_.Acquire(pending_acquire_);
+  assert(status.ok() && "buffer accounting exceeded pool capacity");
+  (void)status;
   pool_.Release(pending_release_);
+  pending_acquire_ = 0;
   pending_release_ = 0;
   mid_cycle_failed_.Clear();
   ++cycle_;
   ++metrics_.cycles;
   if (qos_active_) EndCycleQos();
   if (ts_ != nullptr) SampleTimeSeries();
-  const double wall_us =
-      std::chrono::duration<double, std::micro>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count();
-  SampleCycleInstruments(cycle_start_us, wall_us);
 }
 
 void CycleScheduler::EndCycleQos() {
@@ -423,16 +386,12 @@ void CycleScheduler::SampleTimeSeries() {
   ts_last_ = m;
   pool_.SampleTimeSeries(t);
   // Pull-model registry series (if any were registered on this recorder)
-  // sample at the same serial point.
+  // sample at the same point.
   ts_->Sample(t);
 }
 
 void CycleScheduler::RunCycles(int n) {
   for (int i = 0; i < n; ++i) RunCycle();
-}
-
-void CycleScheduler::BeginCycle() {
-  slots_used_.assign(slots_used_.size(), 0);
 }
 
 void CycleScheduler::OnDiskFailed(int disk, bool mid_cycle) {
@@ -530,111 +489,6 @@ Tracer* CycleScheduler::tracer() const {
 
 int32_t CycleScheduler::trace_tid() const {
   return instr_ != nullptr ? instr_->tid : -1;
-}
-
-ThreadPool* CycleScheduler::CyclePool() const {
-  if (exec_pool_ == nullptr) return nullptr;
-  return ActiveStreams() >= kMinActiveStreamsForParallel ? exec_pool_
-                                                         : nullptr;
-}
-
-void CycleScheduler::ResetShardCtxs(int64_t n) {
-  if (static_cast<int64_t>(shard_ctx_.size()) < n) {
-    shard_ctx_.resize(static_cast<size_t>(n));
-  }
-  for (int64_t i = 0; i < n; ++i) shard_ctx_[static_cast<size_t>(i)].Reset();
-}
-
-void CycleScheduler::FoldShardCtxs(int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    ShardCtx& ctx = shard_ctx_[static_cast<size_t>(i)];
-    FoldMetrics(metrics_, ctx.metrics);
-    pending_release_ += ctx.pending_release;
-    const Status status = pool_.AccumulateShard(ctx.pool);
-    assert(status.ok() && "sharded buffer accounting exceeded capacity");
-    (void)status;
-  }
-}
-
-void CycleScheduler::ParallelOverClusters(
-    const std::function<void(ShardCtx&, int, int)>& kernel) {
-  const int clusters = layout_->num_clusters();
-  ThreadPool* pool = CyclePool();
-  const int64_t chunks = ParallelChunkCount(pool, 0, clusters);
-  if (chunks == 0) return;
-  ResetShardCtxs(chunks);
-  ParallelForChunks(pool, 0, clusters,
-                    [&](int64_t chunk, int64_t lo, int64_t hi) {
-                      kernel(shard_ctx_[static_cast<size_t>(chunk)],
-                             static_cast<int>(lo), static_cast<int>(hi));
-                    });
-  FoldShardCtxs(chunks);
-}
-
-void CycleScheduler::RunClusterSharded(
-    const std::function<int(const Stream&)>& cluster_key,
-    const std::function<void(ShardCtx&, std::span<Stream* const>)>&
-        kernel) {
-  const int clusters = layout_->num_clusters();
-  if (cluster_streams_.size() < static_cast<size_t>(clusters)) {
-    cluster_streams_.resize(static_cast<size_t>(clusters));
-  }
-  for (auto& bucket : cluster_streams_) bucket.clear();
-  active_streams_.clear();
-
-  // A single chunk would execute every bucket on one thread anyway, so
-  // skip the keying/bucketing pass entirely and take the admission-order
-  // serial path below — with one worker (or a one-cluster layout) the
-  // sharded cycle then costs exactly what the pre-sharding code did.
-  ThreadPool* pool = CyclePool();
-  if (pool != nullptr && ParallelChunkCount(pool, 0, clusters) < 2) {
-    pool = nullptr;
-  }
-  bool cross_cluster = false;
-  const StreamState* state = table_.state();
-  const size_t n = streams_.size();
-  for (size_t i = 0; i < n; ++i) {
-    // Every kernel skips non-active streams; dropping them here keeps the
-    // shards dense and is behavior-identical. The state column scan makes
-    // this admission-order sweep branch on one dense byte array.
-    if (state[i] != StreamState::kActive) continue;
-    Stream* stream = streams_[i].get();
-    active_streams_.push_back(stream);
-    if (pool == nullptr || cross_cluster) continue;
-    const int key = cluster_key(*stream);
-    if (key < 0) {
-      // This cycle some stream's reads span clusters; the exact-partition
-      // invariant the parallel schedule relies on is gone, so the whole
-      // cycle falls back to the serial shard below.
-      cross_cluster = true;
-      continue;
-    }
-    assert(key < clusters);
-    cluster_streams_[static_cast<size_t>(key)].push_back(stream);
-  }
-  if (active_streams_.empty()) return;
-
-  if (pool == nullptr || cross_cluster) {
-    // One shard over all active streams in admission order: exactly the
-    // pre-sharding serial execution.
-    ResetShardCtxs(1);
-    kernel(shard_ctx_[0], std::span<Stream* const>(active_streams_));
-    FoldShardCtxs(1);
-    return;
-  }
-  const int64_t chunks = ParallelChunkCount(pool, 0, clusters);
-  ResetShardCtxs(chunks);
-  ParallelForChunks(
-      pool, 0, clusters, [&](int64_t chunk, int64_t lo, int64_t hi) {
-        ShardCtx& ctx = shard_ctx_[static_cast<size_t>(chunk)];
-        for (int64_t c = lo; c < hi; ++c) {
-          const auto& bucket = cluster_streams_[static_cast<size_t>(c)];
-          if (!bucket.empty()) {
-            kernel(ctx, std::span<Stream* const>(bucket));
-          }
-        }
-      });
-  FoldShardCtxs(chunks);
 }
 
 Status CycleScheduler::PauseStream(StreamId id) {

@@ -3,9 +3,7 @@
 
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "buffer/buffer_pool.h"
@@ -18,7 +16,6 @@
 #include "util/disk_set.h"
 #include "util/metrics.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 #include "util/timeseries.h"
 #include "util/trace_event.h"
 
@@ -74,20 +71,12 @@ struct SchedulerConfig {
   // failure, so streams admitted beyond the single-copy capacity drop.
   bool ib_mirror_read_balance = false;
 
-  // Worker threads for cluster-parallel cycle execution: 0 uses the
-  // process-wide ThreadPool::Shared() (FTMS_THREADS / hardware
-  // concurrency), 1 (or any negative value) runs every cycle serially
-  // inline, N > 1 gives the scheduler a private pool of N workers.
-  // Metrics, buffer peaks and all per-stream outcomes are bit-identical
-  // at every setting — the knob only trades wall-clock for cores.
-  int threads = 0;
-
   // Observability sinks. Null uses the process-wide instances, which are
   // themselves off unless FTMS_METRICS=1 / FTMS_TRACE=1 — so by default
   // every instrumentation site reduces to one untaken branch. Tests and
   // embedders pass private instances for isolation. Exported counters are
-  // deterministic at any thread count (see DESIGN.md "Observability");
-  // only wall-clock histograms and trace args are timing-dependent.
+  // deterministic (see DESIGN.md "Observability"); only wall-clock
+  // histograms and trace args are timing-dependent.
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
 
@@ -97,8 +86,7 @@ struct SchedulerConfig {
   // attributes hiccups and degraded exposure to THIS scheduler's
   // streams), so with FTMS_QOS=1 and no injected ledger the scheduler
   // owns a private one, reachable via qos_ledger(). Both are fed at
-  // serial points only, keeping their dumps byte-identical at any
-  // thread count.
+  // cycle end, after every read of the cycle is settled.
   EventJournal* journal = nullptr;
   QosLedger* ledger = nullptr;
 
@@ -108,8 +96,8 @@ struct SchedulerConfig {
   // reads, disk queue depth, active streams, hiccups, buffer occupancy)
   // from its serial cycle-end point, and RebuildManager / QosLedger
   // attach their own series through timeseries_recorder(). All pushes
-  // derive from deterministic fold state, so dumps are byte-identical at
-  // any thread count.
+  // derive from the scheduler's counters, so dumps are byte-identical
+  // across runs.
   TimeSeriesRecorder* timeseries = nullptr;
 };
 
@@ -258,67 +246,44 @@ class CycleScheduler {
 
   enum class ReadOutcome { kOk, kFailedDisk, kNoSlot };
 
-  // Per-shard scratch for cluster-parallel cycle execution. A kernel
-  // running on a worker thread accumulates its metrics, buffer-pool
-  // traffic and deferred releases here instead of touching the shared
-  // members; the base class folds the shards back in cluster order at
-  // the end of the parallel section, so every counter and the pool peak
-  // come out bit-identical at any thread count. Cache-line aligned so
-  // neighboring shards never false-share.
-  struct alignas(64) ShardCtx {
-    SchedulerMetrics metrics;
-    BufferPool::ShardDelta pool;
-    int64_t pending_release = 0;
-
-    void Reset() {
-      metrics = SchedulerMetrics{};
-      pool.Reset();
-      pending_release = 0;
+  // Calls `fn(stream)` for every active stream in admission (id) order,
+  // the order in which a cycle's reads claim disk slots. A stream is
+  // tested when the sweep reaches it, so one that finishes in an earlier
+  // pass of the same cycle drops out of the later ones.
+  template <typename Fn>
+  void ForEachActiveStream(Fn&& fn) {
+    const StreamState* state = table_.state();
+    const size_t n = streams_.size();
+    for (size_t i = 0; i < n; ++i) {
+      if (state[i] == StreamState::kActive) fn(streams_[i].get());
     }
-  };
-
-  // Runs `kernel(ctx, first_cluster, last_cluster)` over contiguous
-  // cluster ranges on the execution pool (inline when serial) and folds
-  // the per-chunk scratch back in cluster order. The kernel must only
-  // touch state owned by clusters in [first_cluster, last_cluster) plus
-  // its ShardCtx.
-  void ParallelOverClusters(
-      const std::function<void(ShardCtx&, int, int)>& kernel);
-
-  // Stream-partitioned parallel section: buckets the ACTIVE streams by
-  // `cluster_key` — the cluster whose disks the stream's reads touch this
-  // cycle, computed BEFORE the kernel mutates anything — then runs
-  // `kernel(ctx, streams_of_one_cluster)` per cluster on the execution
-  // pool, folding shard scratch in cluster order. Within a bucket streams
-  // keep admission (id) order, so per-disk slot consumption matches the
-  // serial schedule exactly. A key < 0 marks a stream whose reads span
-  // clusters this cycle (multi-rate bursts): the whole cycle then runs as
-  // ONE serial shard over all active streams in admission order — the
-  // pre-sharding execution — which keeps the outcome deterministic
-  // because the fallback decision depends only on scheduler state, never
-  // on the thread count.
-  void RunClusterSharded(
-      const std::function<int(const Stream&)>& cluster_key,
-      const std::function<void(ShardCtx&, std::span<Stream* const>)>&
-          kernel);
-
-  // The pool cycles should dispatch on: null when configured serial or
-  // when too few streams are active for the dispatch overhead to pay off
-  // (a pure function of scheduler state, so the guard cannot break
-  // thread-count invariance).
-  ThreadPool* CyclePool() const;
+  }
 
   // Attempts one track read on `disk` in the current cycle: consumes a
   // slot, then succeeds iff the disk is up (and not failing mid-cycle).
-  // Updates the metrics counters. The ShardCtx overloads of the helpers
-  // below are for kernels inside parallel sections; the plain overloads
-  // are for serial phases and out-of-cycle paths. Inline: TryRead runs
-  // once per planned read — it IS the simulation's inner loop.
+  // Updates the metrics counters. Inline: TryRead runs once per planned
+  // read — it IS the simulation's inner loop.
   ReadOutcome TryRead(int disk, bool is_parity) {
-    return TryReadImpl(metrics_, disk, is_parity);
-  }
-  ReadOutcome TryRead(ShardCtx& ctx, int disk, bool is_parity) {
-    return TryReadImpl(ctx.metrics, disk, is_parity);
+    int& used = slots_used_[static_cast<size_t>(disk)];
+    if (used >= slots_per_disk_) {
+      ++metrics_.dropped_reads;
+      return ReadOutcome::kNoSlot;
+    }
+    ++used;
+    if (!disks_->disk(disk).Read(1)) {
+      ++metrics_.failed_reads;
+      // `degraded_cells_` is non-null only with a live registry.
+      if (degraded_cells_ != nullptr) {
+        degraded_cells_[disks_->ClusterOf(disk)]->Add(1);
+      }
+      return ReadOutcome::kFailedDisk;
+    }
+    if (is_parity) {
+      ++metrics_.parity_reads;
+    } else {
+      ++metrics_.data_reads;
+    }
+    return ReadOutcome::kOk;
   }
 
   // True when reads on `disk` succeed this cycle (O(1) byte load).
@@ -338,23 +303,23 @@ class CycleScheduler {
 
   // Records an on-time (or missed) delivery for the stream.
   void DeliverTrack(Stream* stream, bool on_time) {
-    DeliverTrackImpl(metrics_, stream, on_time);
-  }
-  void DeliverTrack(ShardCtx& ctx, Stream* stream, bool on_time) {
-    DeliverTrackImpl(ctx.metrics, stream, on_time);
+    table_.DeliverRow(stream->row(), cycle_, on_time);
+    if (on_time) {
+      ++metrics_.tracks_delivered;
+    } else {
+      ++metrics_.hiccups;
+    }
   }
   // `n` consecutive on-time deliveries in one call — the all-tracks-read
   // fast path of the group schedulers (identical to calling DeliverTrack
   // n times with on_time=true).
-  void DeliverTracksOnTime(ShardCtx& ctx, Stream* stream, int n) {
+  void DeliverTracksOnTime(Stream* stream, int n) {
     table_.DeliverRowBatchOnTime(stream->row(), cycle_, n);
-    ctx.metrics.tracks_delivered += n;
+    metrics_.tracks_delivered += n;
   }
 
   // Observability: counts one on-the-fly parity reconstruction against
-  // `cluster`. Safe inside cluster kernels — the cell is an atomic
-  // counter, and commutative adds keep the total thread-count invariant.
-  // A single untaken branch when instrumentation is off.
+  // `cluster`. A single untaken branch when instrumentation is off.
   void CountReconstruction(int cluster, int64_t n = 1);
 
   // Counts a read that targeted a known-failed disk against `cluster`.
@@ -365,21 +330,12 @@ class CycleScheduler {
   void CountDegradedRead(int cluster, int64_t n = 1);
 
   // Buffer accounting (tracks). A track transmitted during cycle t is in
-  // memory until t's end (transmission overlaps the next reads), so
-  // delivery paths release at cycle end; the pool peak then matches the
-  // paper's buffer equations (12)-(15). The pool is unlimited here, so a
-  // failed acquire means the scheduler's own accounting went negative
-  // somewhere — loud in debug builds rather than silently dropped.
-  void AcquireBuffers(int64_t n) {
-    const Status status = pool_.Acquire(n);
-    assert(status.ok() && "buffer accounting exceeded pool capacity");
-    (void)status;
-  }
-  void AcquireBuffers(ShardCtx& ctx, int64_t n) { ctx.pool.Acquire(n); }
+  // memory until t's end (transmission overlaps the next reads), so both
+  // directions settle when the cycle ends: its acquires first, then its
+  // releases. The pool peak is thus the occupancy with every track of the
+  // cycle in memory, which matches the paper's buffer equations (12)-(15).
+  void AcquireBuffers(int64_t n) { pending_acquire_ += n; }
   void ReleaseBuffersAtCycleEnd(int64_t n) { pending_release_ += n; }
-  void ReleaseBuffersAtCycleEnd(ShardCtx& ctx, int64_t n) {
-    ctx.pending_release += n;
-  }
 
   // Structure-of-arrays stream store backing the Stream handles in
   // `streams_`; scheduler sweeps read its columns directly.
@@ -401,60 +357,22 @@ class CycleScheduler {
   // off, which is what makes the hot-path checks single branches.
   struct Instruments;
 
-  void BeginCycle();
+  // One cycle without the wall-clock instrumentation around it.
+  void StepCycle();
   void InitInstruments();
   void InitQos();
   void InitTimeSeries();
-  // Serial end-of-cycle time-series push: per-cycle degraded reads, mean
-  // disk queue depth, active streams, hiccup delta and buffer occupancy,
-  // all derived from fold state — never from worker-local scratch — so
-  // the curves are byte-identical at any FTMS_THREADS.
+  // End-of-cycle time-series push: per-cycle degraded reads, mean disk
+  // queue depth, active streams, hiccup delta and buffer occupancy.
   void SampleTimeSeries();
-  // Serial end-of-cycle QoS fold: hiccup-delta and transition-end journal
+  // End-of-cycle QoS fold: hiccup-delta and transition-end journal
   // events, the ledger's per-stream exposure/SLO pass.
   void EndCycleQos();
-  // Serial end-of-cycle sampling: per-disk busy slots, queue-depth and
+  // End-of-cycle sampling: per-disk busy slots, queue-depth and
   // cycle-duration histograms, gauges, counter deltas, the cycle span.
   void SampleCycleInstruments(int64_t cycle_start_us, double wall_us);
-  ReadOutcome TryReadImpl(SchedulerMetrics& metrics, int disk,
-                          bool is_parity) {
-    int& used = slots_used_[static_cast<size_t>(disk)];
-    if (used >= slots_per_disk_) {
-      ++metrics.dropped_reads;
-      return ReadOutcome::kNoSlot;
-    }
-    ++used;
-    if (!disks_->disk(disk).Read(1)) {
-      ++metrics.failed_reads;
-      // `degraded_cells_` is non-null only with a live registry; the
-      // per-cluster cell is an atomic counter, safe from cluster kernels.
-      if (degraded_cells_ != nullptr) {
-        degraded_cells_[disks_->ClusterOf(disk)]->Add(1);
-      }
-      return ReadOutcome::kFailedDisk;
-    }
-    if (is_parity) {
-      ++metrics.parity_reads;
-    } else {
-      ++metrics.data_reads;
-    }
-    return ReadOutcome::kOk;
-  }
-  void DeliverTrackImpl(SchedulerMetrics& metrics, Stream* stream,
-                        bool on_time) {
-    table_.DeliverRow(stream->row(), cycle_, on_time);
-    if (on_time) {
-      ++metrics.tracks_delivered;
-    } else {
-      ++metrics.hiccups;
-    }
-  }
-  // Resets the first `n` shard contexts (growing the array as needed) /
-  // folds them back into the shared state in index order.
-  void ResetShardCtxs(int64_t n);
-  void FoldShardCtxs(int64_t n);
-
   BufferPool pool_;  // unlimited; measures occupancy / peak
+  int64_t pending_acquire_ = 0;
   int64_t pending_release_ = 0;
   // Column store first, handles after: the handles borrow table rows, so
   // declaration order keeps the table alive past every Stream destructor.
@@ -469,15 +387,6 @@ class CycleScheduler {
   // Disks that fail mid-sweep of the next RunCycle only (DiskSet::Clear
   // is O(1) in the common failure-free cycles).
   DiskSet mid_cycle_failed_;
-  // Cluster-parallel execution state. `owned_pool_` backs configs with
-  // threads > 1; otherwise the shared pool (or none) is used. The scratch
-  // vectors are reused across cycles so the parallel path allocates
-  // nothing in steady state.
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* exec_pool_ = nullptr;  // null = always serial
-  std::vector<ShardCtx> shard_ctx_;
-  std::vector<std::vector<Stream*>> cluster_streams_;
-  std::vector<Stream*> active_streams_;  // serial-fallback ordering
   std::unique_ptr<Instruments> instr_;
   // Borrowed view of Instruments::cluster_degraded for the inline read
   // path; null when the registry is off.

@@ -27,16 +27,15 @@ void ImprovedBandwidthScheduler::DoOnStreamStopped(Stream* stream) {
   }
 }
 
-void ImprovedBandwidthScheduler::DeliverGroup(ShardCtx& ctx,
-                                              Stream* stream,
+void ImprovedBandwidthScheduler::DeliverGroup(Stream* stream,
                                               GroupBuffer* buf) {
   // `have_count` was maintained at plan commit, so no rescan of `have`.
   const int missing = buf->tracks - buf->have_count;
   if (missing == 0) {
     // Healthy fast path: the whole group arrived; deliver it in one
     // batched column update.
-    DeliverTracksOnTime(ctx, stream, buf->tracks);
-    ReleaseBuffersAtCycleEnd(ctx, buf->buffered_tracks);
+    DeliverTracksOnTime(stream, buf->tracks);
+    ReleaseBuffersAtCycleEnd(buf->buffered_tracks);
     buf->ready = false;
     buf->buffered_tracks = 0;
     return;
@@ -46,19 +45,18 @@ void ImprovedBandwidthScheduler::DeliverGroup(ShardCtx& ctx,
     bool on_time = buf->have[static_cast<size_t>(i)];
     if (!on_time && can_reconstruct) {
       on_time = true;
-      ++ctx.metrics.reconstructed;
+      ++metrics_.reconstructed;
       CountReconstruction(geom_.GroupCluster(
           stream->object().id, geom_.GroupOf(buf->first_track)));
     }
-    DeliverTrack(ctx, stream, on_time);
+    DeliverTrack(stream, on_time);
   }
-  ReleaseBuffersAtCycleEnd(ctx, buf->buffered_tracks);
+  ReleaseBuffersAtCycleEnd(buf->buffered_tracks);
   buf->ready = false;
   buf->buffered_tracks = 0;
 }
 
-void ImprovedBandwidthScheduler::PlanStreamReads(ShardCtx& ctx,
-                                                 Stream* stream,
+void ImprovedBandwidthScheduler::PlanStreamReads(Stream* stream,
                                                  GroupBuffer* buf) {
   if (stream->state() != StreamState::kActive || stream->finished()) {
     return;
@@ -105,7 +103,7 @@ void ImprovedBandwidthScheduler::PlanStreamReads(ShardCtx& ctx,
       // miss. The parity substitution is reserved for FAILURES; it
       // must not silently absorb oversubscription (the bandwidth it
       // would use is exactly the reserve that masks real failures).
-      ++ctx.metrics.dropped_reads;
+      ++metrics_.dropped_reads;
       buf->have[static_cast<size_t>(i)] = false;  // lost for this cycle
       continue;
     }
@@ -195,35 +193,12 @@ void ImprovedBandwidthScheduler::PlanPrefetchParity() {
   }
 }
 
-int ImprovedBandwidthScheduler::ShardCluster(const Stream& stream) const {
-  const GroupBuffer& buf = state_[static_cast<size_t>(stream.id())];
-  // Delivery (which precedes planning within the shard) advances the
-  // stream past the buffered group before this cycle's plan targets the
-  // next one.
-  const int64_t pos =
-      buf.ready ? buf.first_track + buf.tracks : stream.position();
-  return geom_.GroupCluster(stream.object().id, geom_.GroupOf(pos));
-}
-
 void ImprovedBandwidthScheduler::ExecutePlan() {
-  // Phase 1 — read execution, parallel over clusters: a planned read
-  // touches only its own disk's slot account, and each disk belongs to
-  // exactly one cluster, so per-disk outcomes match the serial schedule
-  // exactly (the plan per disk was fixed before this point).
-  const int dpc = layout_->disks_per_cluster();
-  ParallelOverClusters([this, dpc](ShardCtx& ctx, int lo, int hi) {
-    for (int disk = lo * dpc; disk < hi * dpc; ++disk) {
-      for (PlannedRead& read : plan_[static_cast<size_t>(disk)]) {
-        read.ok = TryRead(ctx, disk, read.parity) == ReadOutcome::kOk;
-      }
-    }
-  });
-  // Phase 2 — serial commit in disk order: a stream's group buffer is
-  // shared between its data cluster and its neighbor-cluster parity read,
-  // so the buffer updates stay out of the parallel phase.
+  // One pass in disk order: each planned read claims its slot, and one
+  // that succeeds lands in its stream's group buffer.
   for (int disk = 0; disk < disks_->num_disks(); ++disk) {
     for (const PlannedRead& read : plan_[static_cast<size_t>(disk)]) {
-      if (!read.ok) continue;
+      if (TryRead(disk, read.parity) != ReadOutcome::kOk) continue;
       GroupBuffer& buf = state_[static_cast<size_t>(read.stream)];
       ++buf.buffered_tracks;
       if (read.parity) {
@@ -248,25 +223,16 @@ void ImprovedBandwidthScheduler::ExecutePlan() {
 void ImprovedBandwidthScheduler::DoRunCycle() {
   std::fill(missing_count_.begin(), missing_count_.end(), 0);
   std::fill(parity_planned_.begin(), parity_planned_.end(), false);
-  // Delivery of the groups read last cycle fused with this cycle's data
-  // planning, sharded by the cluster the stream's next group lives on
-  // (delivery touches no disks; planning only pushes onto disks of that
-  // cluster, and streams keep admission order within a shard, so every
-  // per-disk plan comes out exactly as in the serial schedule). Parity
-  // placement and execution follow serially: the right-shift cascade is
-  // inherently cross-cluster.
-  RunClusterSharded(
-      [this](const Stream& stream) { return ShardCluster(stream); },
-      [this](ShardCtx& ctx, std::span<Stream* const> shard) {
-        for (Stream* stream : shard) {
-          GroupBuffer& buf = state_[static_cast<size_t>(stream->id())];
-          if (buf.ready) DeliverGroup(ctx, stream, &buf);
-        }
-        for (Stream* stream : shard) {
-          PlanStreamReads(ctx, stream,
-                          &state_[static_cast<size_t>(stream->id())]);
-        }
-      });
+  // Deliver the groups read last cycle, plan this cycle's data reads in
+  // admission order, place parity reads (the right-shift cascade), then
+  // execute the plan.
+  ForEachActiveStream([this](Stream* stream) {
+    GroupBuffer& buf = state_[static_cast<size_t>(stream->id())];
+    if (buf.ready) DeliverGroup(stream, &buf);
+  });
+  ForEachActiveStream([this](Stream* stream) {
+    PlanStreamReads(stream, &state_[static_cast<size_t>(stream->id())]);
+  });
   PlanFailureParity();
   PlanPrefetchParity();
   ExecutePlan();

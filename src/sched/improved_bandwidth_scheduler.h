@@ -55,7 +55,6 @@ class ImprovedBandwidthScheduler : public CycleScheduler {
     StreamId stream = -1;
     int pos = 0;         // position within the group (data reads)
     bool parity = false;
-    bool ok = false;     // execution outcome (set in the parallel phase)
   };
 
   // True when the planner believes the disk serves reads this cycle
@@ -65,13 +64,8 @@ class ImprovedBandwidthScheduler : public CycleScheduler {
     return DiskUp(disk) || FailedMidCycle(disk);
   }
 
-  // The cluster holding the group this stream delivers/plans this cycle
-  // (every data read of a group shares one cluster; the parity read is
-  // planned separately in the serial cascade phase).
-  int ShardCluster(const Stream& stream) const;
-
-  void DeliverGroup(ShardCtx& ctx, Stream* stream, GroupBuffer* buf);
-  void PlanStreamReads(ShardCtx& ctx, Stream* stream, GroupBuffer* buf);
+  void DeliverGroup(Stream* stream, GroupBuffer* buf);
+  void PlanStreamReads(Stream* stream, GroupBuffer* buf);
   void PlanFailureParity();
   void PlanPrefetchParity();
   // Places the parity read for `stream`'s current group, shifting local

@@ -81,29 +81,26 @@ int NonClusteredScheduler::RateMultiplier(const Stream& stream) const {
       std::round(stream.object().rate_mb_s / config_.object_rate_mb_s));
 }
 
-void NonClusteredScheduler::BufferTrack(ShardCtx& ctx, NcState* st,
-                                        int64_t track) {
-  if (st->buffered.Insert(track)) AcquireBuffers(ctx, 1);
+void NonClusteredScheduler::BufferTrack(NcState* st, int64_t track) {
+  if (st->buffered.Insert(track)) AcquireBuffers(1);
 }
 
-void NonClusteredScheduler::DeliverStream(ShardCtx& ctx, Stream* stream,
-                                          NcState* st) {
+void NonClusteredScheduler::DeliverStream(Stream* stream, NcState* st) {
   if (!st->started) return;
   // Streams at m-times the base rate transmit m tracks per cycle.
   const int multiplier = st->multiplier;
   for (int k = 0;
        k < multiplier && stream->state() == StreamState::kActive; ++k) {
-    DeliverOneTrack(ctx, stream, st);
+    DeliverOneTrack(stream, st);
   }
 }
 
-void NonClusteredScheduler::DeliverOneTrack(ShardCtx& ctx, Stream* stream,
-                                            NcState* st) {
+void NonClusteredScheduler::DeliverOneTrack(Stream* stream, NcState* st) {
   const int64_t p = stream->position();
   const bool have = st->buffered.Contains(p);
   if (have) {
     st->buffered.Erase(p);
-    ReleaseBuffersAtCycleEnd(ctx, 1);
+    ReleaseBuffersAtCycleEnd(1);
   }
   // Deferred strategy: while a group's reconstruction is pending, fold
   // the delivered track into the running XOR instead of discarding it.
@@ -112,12 +109,12 @@ void NonClusteredScheduler::DeliverOneTrack(ShardCtx& ctx, Stream* stream,
       st->acc_group == group && have &&
       geom_.PositionInGroup(p) == st->acc_prefix) {
     if (!st->acc_held) {
-      AcquireBuffers(ctx, 1);  // the accumulator buffer
+      AcquireBuffers(1);  // the accumulator buffer
       st->acc_held = true;
     }
     ++st->acc_prefix;
   }
-  DeliverTrack(ctx, stream, have);
+  DeliverTrack(stream, have);
   // Drop a stale accumulator at group end (e.g. the disk was repaired
   // before the reconstruction deadline) or at stream end.
   const bool group_done =
@@ -125,7 +122,7 @@ void NonClusteredScheduler::DeliverOneTrack(ShardCtx& ctx, Stream* stream,
   if ((stream->state() != StreamState::kActive || group_done) &&
       st->acc_group == group) {
     if (st->acc_held) {
-      ReleaseBuffersAtCycleEnd(ctx, 1);
+      ReleaseBuffersAtCycleEnd(1);
       st->acc_held = false;
     }
     st->acc_group = -1;
@@ -133,9 +130,8 @@ void NonClusteredScheduler::DeliverOneTrack(ShardCtx& ctx, Stream* stream,
   }
 }
 
-void NonClusteredScheduler::ReadGroupNow(ShardCtx& ctx, Stream* stream,
-                                         NcState* st, int64_t group,
-                                         bool with_server) {
+void NonClusteredScheduler::ReadGroupNow(Stream* stream, NcState* st,
+                                         int64_t group, bool with_server) {
   const int object_id = stream->object().id;
   const int per_group = geom_.per_group;
   const int cluster = geom_.GroupCluster(object_id, group);
@@ -161,8 +157,8 @@ void NonClusteredScheduler::ReadGroupNow(ShardCtx& ctx, Stream* stream,
       ++missing_count;
       continue;
     }
-    if (TryRead(ctx, disk, /*is_parity=*/false) == ReadOutcome::kOk) {
-      BufferTrack(ctx, st, t);
+    if (TryRead(disk, /*is_parity=*/false) == ReadOutcome::kOk) {
+      BufferTrack(st, t);
     } else {
       all_survivors_ok = false;
     }
@@ -187,23 +183,23 @@ void NonClusteredScheduler::ReadGroupNow(ShardCtx& ctx, Stream* stream,
     int parity_reads_ok = 0;
     if (CanReconstruct(cluster) && missing_count <= ParityDisksUp(cluster) &&
         with_server && prefix_ok && all_survivors_ok) {
-      AcquireBuffers(ctx, missing_count);
+      AcquireBuffers(missing_count);
       const int c = geom_.disks_per_cluster;
       for (int s = c - geom_.parity_blocks;
            s < c && parity_reads_ok < missing_count; ++s) {
         const int disk = geom_.DataDisk(cluster, s);
         if (!DiskUp(disk)) continue;
-        if (TryRead(ctx, disk, /*is_parity=*/true) == ReadOutcome::kOk) {
+        if (TryRead(disk, /*is_parity=*/true) == ReadOutcome::kOk) {
           ++parity_reads_ok;
         }
       }
       // Folded into the reconstruction immediately.
-      ReleaseBuffersAtCycleEnd(ctx, missing_count);
+      ReleaseBuffersAtCycleEnd(missing_count);
     }
     if (parity_reads_ok >= missing_count) {
       for (int m = 0; m < missing_count; ++m) {
-        BufferTrack(ctx, st, missing_tracks[m]);
-        ++ctx.metrics.reconstructed;
+        BufferTrack(st, missing_tracks[m]);
+        ++metrics_.reconstructed;
         CountReconstruction(cluster);
       }
     }
@@ -212,7 +208,7 @@ void NonClusteredScheduler::ReadGroupNow(ShardCtx& ctx, Stream* stream,
   // The group's reconstruction state is resolved; drop the accumulator.
   if (st->acc_group == group) {
     if (st->acc_held) {
-      ReleaseBuffersAtCycleEnd(ctx, 1);
+      ReleaseBuffersAtCycleEnd(1);
       st->acc_held = false;
     }
     st->acc_group = -1;
@@ -221,8 +217,7 @@ void NonClusteredScheduler::ReadGroupNow(ShardCtx& ctx, Stream* stream,
   st->started = true;
 }
 
-void NonClusteredScheduler::GroupReadStream(ShardCtx& ctx, Stream* stream,
-                                            NcState* st) {
+void NonClusteredScheduler::GroupReadStream(Stream* stream, NcState* st) {
   if (stream->state() != StreamState::kActive) return;
   const int64_t first_due = DueTrack(*stream, *st);
   if (first_due < 0) return;
@@ -245,7 +240,7 @@ void NonClusteredScheduler::GroupReadStream(ShardCtx& ctx, Stream* stream,
       // caught mid-group keep their one-track-per-cycle schedule in the
       // normal pass and lose what the burst displaces.
       if (pos == 0 || !st->started) {
-        ReadGroupNow(ctx, stream, st, group, with_server);
+        ReadGroupNow(stream, st, group, with_server);
       }
     } else {
       // Deferred (Figure 7): start accumulating at group entry; when the
@@ -258,14 +253,13 @@ void NonClusteredScheduler::GroupReadStream(ShardCtx& ctx, Stream* stream,
         st->acc_prefix = 0;
       }
       if (failed >= 0 && pos == failed && st->acc_group == group) {
-        ReadGroupNow(ctx, stream, st, group, with_server);
+        ReadGroupNow(stream, st, group, with_server);
       }
     }
   }
 }
 
-void NonClusteredScheduler::NormalReadStream(ShardCtx& ctx, Stream* stream,
-                                             NcState* st) {
+void NonClusteredScheduler::NormalReadStream(Stream* stream, NcState* st) {
   if (stream->state() != StreamState::kActive) return;
   const int64_t first_due = DueTrack(*stream, *st);
   if (first_due < 0) return;
@@ -287,64 +281,30 @@ void NonClusteredScheduler::NormalReadStream(ShardCtx& ctx, Stream* stream,
       st->started = true;
       continue;
     }
-    if (TryRead(ctx, disk, /*is_parity=*/false) == ReadOutcome::kOk) {
-      BufferTrack(ctx, st, due);
+    if (TryRead(disk, /*is_parity=*/false) == ReadOutcome::kOk) {
+      BufferTrack(st, due);
     }
     st->started = true;
   }
 }
 
-int NonClusteredScheduler::ShardCluster(const Stream& stream) const {
-  const NcState& st = state_[static_cast<size_t>(stream.id())];
-  const MediaObject& object = stream.object();
-  const int multiplier = st.multiplier;
-  // The delivery phase advances the position by the rate multiplier
-  // before this cycle's reads pick their due tracks.
-  const int64_t due =
-      stream.position() + (st.started ? multiplier : 0);
-  if (due >= object.num_tracks) {
-    // No reads left; any cluster works for the (delivery-only) kernel.
-    return geom_.HomeCluster(object.id);
-  }
-  const int64_t last =
-      std::min<int64_t>(due + multiplier - 1, object.num_tracks - 1);
-  const int64_t first_group = geom_.GroupOf(due);
-  const int cluster = geom_.GroupCluster(object.id, first_group);
-  for (int64_t g = first_group + 1; g <= geom_.GroupOf(last); ++g) {
-    // A multi-rate burst crossing a group boundary can touch two
-    // clusters in one cycle; signal the serial fallback.
-    if (geom_.GroupCluster(object.id, g) != cluster) return -1;
-  }
-  return cluster;
-}
-
 void NonClusteredScheduler::DoRunCycle() {
-  // With every disk up no cluster is degraded, so the group-read pass is
-  // a per-stream no-op (its only effects are gated on ClusterDegraded);
-  // skip the whole sweep in the failure-free common case. The decision
-  // reads scheduler state only, so thread-count invariance holds.
-  const bool any_failed = disks_->NumFailed() > 0;
-  RunClusterSharded(
-      [this](const Stream& stream) { return ShardCluster(stream); },
-      [this, any_failed](ShardCtx& ctx, std::span<Stream* const> shard) {
-        // Same three phases as the serial scheduler, restricted to one
-        // cluster's streams: deliver, then high-priority group reads,
-        // then low-priority single-track reads.
-        for (Stream* stream : shard) {
-          DeliverStream(ctx, stream,
-                        &state_[static_cast<size_t>(stream->id())]);
-        }
-        if (any_failed) {
-          for (Stream* stream : shard) {
-            GroupReadStream(ctx, stream,
-                            &state_[static_cast<size_t>(stream->id())]);
-          }
-        }
-        for (Stream* stream : shard) {
-          NormalReadStream(ctx, stream,
-                           &state_[static_cast<size_t>(stream->id())]);
-        }
-      });
+  // Three passes in admission order: deliver, then high-priority group
+  // reads, then low-priority single-track reads. With every disk up no
+  // cluster is degraded, so the group-read pass is a per-stream no-op
+  // (its only effects are gated on ClusterDegraded); skip it in the
+  // failure-free common case.
+  ForEachActiveStream([this](Stream* stream) {
+    DeliverStream(stream, &state_[static_cast<size_t>(stream->id())]);
+  });
+  if (disks_->NumFailed() > 0) {
+    ForEachActiveStream([this](Stream* stream) {
+      GroupReadStream(stream, &state_[static_cast<size_t>(stream->id())]);
+    });
+  }
+  ForEachActiveStream([this](Stream* stream) {
+    NormalReadStream(stream, &state_[static_cast<size_t>(stream->id())]);
+  });
 }
 
 void NonClusteredScheduler::DoOnStreamStopped(Stream* stream) {

@@ -119,23 +119,19 @@ class NonClusteredScheduler : public CycleScheduler {
   // Rate multiplier of the stream (1 for base-rate streams).
   int RateMultiplier(const Stream& stream) const;
 
-  void BufferTrack(ShardCtx& ctx, NcState* st, int64_t track);
-  // The cluster all of this stream's reads land on this cycle, or -1 when
-  // a multi-rate burst spans clusters (whole cycle falls back to one
-  // serial shard).
-  int ShardCluster(const Stream& stream) const;
-  void DeliverStream(ShardCtx& ctx, Stream* stream, NcState* st);
-  void DeliverOneTrack(ShardCtx& ctx, Stream* stream, NcState* st);
+  void BufferTrack(NcState* st, int64_t track);
+  void DeliverStream(Stream* stream, NcState* st);
+  void DeliverOneTrack(Stream* stream, NcState* st);
   // High-priority group reads (degraded-cluster entries / reconstruction
   // deadlines), then low-priority single-track reads.
-  void GroupReadStream(ShardCtx& ctx, Stream* stream, NcState* st);
-  void NormalReadStream(ShardCtx& ctx, Stream* stream, NcState* st);
+  void GroupReadStream(Stream* stream, NcState* st);
+  void NormalReadStream(Stream* stream, NcState* st);
 
   // Reads all unbuffered positions of the group plus parity, now; returns
   // through *st. Used by the immediate strategy at group entry and by the
   // deferred strategy at the reconstruction deadline.
-  void ReadGroupNow(ShardCtx& ctx, Stream* stream, NcState* st,
-                    int64_t group, bool with_server);
+  void ReadGroupNow(Stream* stream, NcState* st, int64_t group,
+                    bool with_server);
 
   std::vector<NcState> state_;
   BufferServerPool servers_;

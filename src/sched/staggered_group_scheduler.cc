@@ -37,8 +37,7 @@ void StaggeredGroupScheduler::DoOnStreamStopped(Stream* stream) {
   st.delivered = st.tracks;  // nothing left to transmit
 }
 
-void StaggeredGroupScheduler::ReadGroup(ShardCtx& ctx, Stream* stream,
-                                        SgState* st) {
+void StaggeredGroupScheduler::ReadGroup(Stream* stream, SgState* st) {
   const int per_group = geom_.per_group;
   const int64_t first = stream->position();
   assert(first % per_group == 0);
@@ -56,22 +55,21 @@ void StaggeredGroupScheduler::ReadGroup(ShardCtx& ctx, Stream* stream,
   // Group-aligned read: data position i is disk i of the group's cluster.
   const int cluster = geom_.GroupCluster(object.id, group);
   for (int i = 0; i < tracks; ++i) {
-    const bool ok = TryRead(ctx, geom_.DataDisk(cluster, i),
+    const bool ok = TryRead(geom_.DataDisk(cluster, i),
                             /*is_parity=*/false) == ReadOutcome::kOk;
     st->have[static_cast<size_t>(i)] = ok;
     if (!ok) ++st->missing;
   }
   st->parity_ok =
-      TryRead(ctx, geom_.ParityDisk(object.id, group, cluster),
+      TryRead(geom_.ParityDisk(object.id, group, cluster),
               /*is_parity=*/true) == ReadOutcome::kOk;
 
   st->buffered_tracks = tracks + 1;  // group + parity held in memory
-  AcquireBuffers(ctx, st->buffered_tracks);
+  AcquireBuffers(st->buffered_tracks);
   st->started = true;
 }
 
-void StaggeredGroupScheduler::DeliverOne(ShardCtx& ctx, Stream* stream,
-                                         SgState* st) {
+void StaggeredGroupScheduler::DeliverOne(Stream* stream, SgState* st) {
   const int i = st->delivered;
   // `missing` was counted once at ReadGroup; `have` is immutable between
   // the group read and its last delivery.
@@ -81,60 +79,41 @@ void StaggeredGroupScheduler::DeliverOne(ShardCtx& ctx, Stream* stream,
     // missing track is rebuilt on the fly (Observation 2 holds because
     // the group was read in full before its first delivery cycle).
     on_time = true;
-    ++ctx.metrics.reconstructed;
+    ++metrics_.reconstructed;
     CountReconstruction(geom_.GroupCluster(
         stream->object().id, geom_.GroupOf(stream->position())));
   }
-  DeliverTrack(ctx, stream, on_time);
+  DeliverTrack(stream, on_time);
   ++st->delivered;
   // The delivered track's buffer is released; the parity buffer is held
   // until the whole group has been transmitted.
-  ReleaseBuffersAtCycleEnd(ctx, 1);
+  ReleaseBuffersAtCycleEnd(1);
   --st->buffered_tracks;
   if (st->delivered == st->tracks) {
-    ReleaseBuffersAtCycleEnd(ctx, st->buffered_tracks);  // parity (and reconstruction) state
+    ReleaseBuffersAtCycleEnd(st->buffered_tracks);  // parity (and reconstruction) state
     st->buffered_tracks = 0;
   }
 }
 
-int StaggeredGroupScheduler::ShardCluster(const Stream& stream) const {
-  const SgState& st = state_[static_cast<size_t>(stream.id())];
-  int64_t pos = stream.position();
-  // The delivery phase advances the position by one before any read this
-  // cycle could happen.
-  if (st.started && st.delivered < st.tracks) ++pos;
-  return geom_.GroupCluster(stream.object().id, geom_.GroupOf(pos));
-}
-
 void StaggeredGroupScheduler::DoRunCycle() {
-  RunClusterSharded(
-      [this](const Stream& stream) { return ShardCluster(stream); },
-      [this](ShardCtx& ctx, std::span<Stream* const> shard) {
-        // Delivery phase: one track per active stream per cycle (streams
-        // that have not yet had their first read cycle are still
-        // starting up).
-        for (Stream* stream : shard) {
-          SgState& st = state_[static_cast<size_t>(stream->id())];
-          if (st.started && st.delivered < st.tracks) {
-            DeliverOne(ctx, stream, &st);
-          }
-        }
-        // Read phase: streams whose staggered read cycle this is fetch
-        // their next whole group. The last delivery cycle of the
-        // previous group overlaps the read cycle of the next
-        // (Section 2); the delivery pass above already emitted this
-        // cycle's track, so on the overlap cycle the old group is fully
-        // drained by now.
-        for (Stream* stream : shard) {
-          if (stream->state() != StreamState::kActive) continue;
-          if (stream->finished()) continue;
-          SgState& st = state_[static_cast<size_t>(stream->id())];
-          if (IsReadCycle(st) &&
-              (!st.started || st.delivered >= st.tracks)) {
-            ReadGroup(ctx, stream, &st);
-          }
-        }
-      });
+  // Delivery phase: one track per active stream per cycle (streams that
+  // have not yet had their first read cycle are still starting up).
+  ForEachActiveStream([this](Stream* stream) {
+    SgState& st = state_[static_cast<size_t>(stream->id())];
+    if (st.started && st.delivered < st.tracks) DeliverOne(stream, &st);
+  });
+  // Read phase: streams whose staggered read cycle this is fetch their
+  // next whole group. The last delivery cycle of the previous group
+  // overlaps the read cycle of the next (Section 2); the delivery pass
+  // above already emitted this cycle's track, so on the overlap cycle the
+  // old group is fully drained by now.
+  ForEachActiveStream([this](Stream* stream) {
+    if (stream->finished()) return;
+    SgState& st = state_[static_cast<size_t>(stream->id())];
+    if (IsReadCycle(st) && (!st.started || st.delivered >= st.tracks)) {
+      ReadGroup(stream, &st);
+    }
+  });
 }
 
 }  // namespace ftms

@@ -55,11 +55,8 @@ class StaggeredGroupScheduler : public CycleScheduler {
     assert(since <= INT64_C(0xffffffff));
     return geom_.per_group_div.Mod(static_cast<uint32_t>(since)) == 0;
   }
-  // The cluster this stream's reads (if any) land on this cycle: the
-  // group containing the position AFTER this cycle's delivery.
-  int ShardCluster(const Stream& stream) const;
-  void ReadGroup(ShardCtx& ctx, Stream* stream, SgState* st);
-  void DeliverOne(ShardCtx& ctx, Stream* stream, SgState* st);
+  void ReadGroup(Stream* stream, SgState* st);
+  void DeliverOne(Stream* stream, SgState* st);
 
   std::vector<SgState> state_;
   // Phase assignment counters per home cluster: staggering must balance

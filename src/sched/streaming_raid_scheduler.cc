@@ -73,8 +73,7 @@ bool StreamingRaidScheduler::RepairGroupBytes(GroupBuffer* buf,
   return true;
 }
 
-void StreamingRaidScheduler::DeliverGroup(ShardCtx& ctx, Stream* stream,
-                                          GroupBuffer* buf,
+void StreamingRaidScheduler::DeliverGroup(Stream* stream, GroupBuffer* buf,
                                           VerifyScratch* scratch) {
   // Track i of the buffered group is on time if it was read, or if the
   // missing blocks are recoverable from the parity blocks present in
@@ -85,8 +84,8 @@ void StreamingRaidScheduler::DeliverGroup(ShardCtx& ctx, Stream* stream,
   const int missing = buf->missing;
   if (missing == 0 && !config_.verify_data) {
     // Healthy fast path: whole group present, one batched delivery.
-    DeliverTracksOnTime(ctx, stream, buf->tracks);
-    ReleaseBuffersAtCycleEnd(ctx, buf->buffered_tracks);
+    DeliverTracksOnTime(stream, buf->tracks);
+    ReleaseBuffersAtCycleEnd(buf->buffered_tracks);
     buf->ready = false;
     buf->buffered_tracks = 0;
     return;
@@ -102,21 +101,21 @@ void StreamingRaidScheduler::DeliverGroup(ShardCtx& ctx, Stream* stream,
     bool on_time = buf->have[static_cast<size_t>(i)];
     if (!on_time && can_reconstruct) {
       on_time = true;
-      ++ctx.metrics.reconstructed;
+      ++metrics_.reconstructed;
       CountReconstruction(geom_.GroupCluster(
           stream->object().id, geom_.GroupOf(buf->first_track)));
     }
     if (config_.verify_data && on_time) {
-      ++ctx.metrics.verified_tracks;
+      ++metrics_.verified_tracks;
       SynthesizeDataBlockInto(stream->object().id, buf->first_track + i,
                               kVerifyBlockBytes, &scratch->block);
       if (buf->data[static_cast<size_t>(i)] != scratch->block) {
-        ++ctx.metrics.verify_failures;
+        ++metrics_.verify_failures;
       }
     }
-    DeliverTrack(ctx, stream, on_time);
+    DeliverTrack(stream, on_time);
   }
-  ReleaseBuffersAtCycleEnd(ctx, buf->buffered_tracks);
+  ReleaseBuffersAtCycleEnd(buf->buffered_tracks);
   buf->ready = false;
   buf->buffered_tracks = 0;
   buf->data.clear();
@@ -124,8 +123,7 @@ void StreamingRaidScheduler::DeliverGroup(ShardCtx& ctx, Stream* stream,
   buf->qparity.clear();
 }
 
-void StreamingRaidScheduler::ReadNextGroup(ShardCtx& ctx, Stream* stream,
-                                           GroupBuffer* buf,
+void StreamingRaidScheduler::ReadNextGroup(Stream* stream, GroupBuffer* buf,
                                            VerifyScratch* scratch) {
   const int per_group = geom_.per_group;
   const int64_t first = stream->position();
@@ -150,7 +148,7 @@ void StreamingRaidScheduler::ReadNextGroup(ShardCtx& ctx, Stream* stream,
   // the group is track first + i on disk i of the group's cluster.
   const int cluster = geom_.GroupCluster(object.id, group);
   for (int i = 0; i < tracks; ++i) {
-    const bool ok = TryRead(ctx, geom_.DataDisk(cluster, i),
+    const bool ok = TryRead(geom_.DataDisk(cluster, i),
                             /*is_parity=*/false) == ReadOutcome::kOk;
     buf->have[static_cast<size_t>(i)] = ok;
     if (!ok) ++buf->missing;
@@ -160,7 +158,7 @@ void StreamingRaidScheduler::ReadNextGroup(ShardCtx& ctx, Stream* stream,
     }
   }
   buf->parity_ok =
-      TryRead(ctx, geom_.ParityDisk(object.id, group, cluster),
+      TryRead(geom_.ParityDisk(object.id, group, cluster),
               /*is_parity=*/true) == ReadOutcome::kOk;
   if (config_.verify_data && buf->parity_ok) {
     const Status status = SynthesizeParityBlockInto(
@@ -170,7 +168,7 @@ void StreamingRaidScheduler::ReadNextGroup(ShardCtx& ctx, Stream* stream,
   }
   buf->q_ok = false;
   if (geom_.parity_blocks == 2) {
-    buf->q_ok = TryRead(ctx, geom_.QParityDisk(cluster),
+    buf->q_ok = TryRead(geom_.QParityDisk(cluster),
                         /*is_parity=*/true) == ReadOutcome::kOk;
     if (config_.verify_data && buf->q_ok) {
       const Status status = SynthesizeQParityBlockInto(
@@ -183,34 +181,21 @@ void StreamingRaidScheduler::ReadNextGroup(ShardCtx& ctx, Stream* stream,
   // Group in memory until delivered: the data tracks plus every parity
   // track (one for SR, P and Q for SR-2).
   buf->buffered_tracks = tracks + geom_.parity_blocks;
-  AcquireBuffers(ctx, buf->buffered_tracks);
-}
-
-int StreamingRaidScheduler::ShardCluster(const Stream& stream) const {
-  const GroupBuffer& buf = state_[static_cast<size_t>(stream.id())];
-  // After delivering the buffered group (if any), the stream reads the
-  // group at first_track + tracks; otherwise the group at its position.
-  const int64_t pos =
-      buf.ready ? buf.first_track + buf.tracks : stream.position();
-  return geom_.GroupCluster(stream.object().id, geom_.GroupOf(pos));
+  AcquireBuffers(buf->buffered_tracks);
 }
 
 void StreamingRaidScheduler::DoRunCycle() {
-  RunClusterSharded(
-      [this](const Stream& stream) { return ShardCluster(stream); },
-      [this](ShardCtx& ctx, std::span<Stream* const> shard) {
-        VerifyScratch scratch;
-        for (Stream* stream : shard) {
-          GroupBuffer& buf = state_[static_cast<size_t>(stream->id())];
-          // Delivery phase: transmit the group read in the previous
-          // cycle; read phase: fetch the next group while still active.
-          if (buf.ready) DeliverGroup(ctx, stream, &buf, &scratch);
-          if (stream->state() == StreamState::kActive && !buf.ready &&
-              !stream->finished()) {
-            ReadNextGroup(ctx, stream, &buf, &scratch);
-          }
-        }
-      });
+  VerifyScratch scratch;
+  ForEachActiveStream([this, &scratch](Stream* stream) {
+    GroupBuffer& buf = state_[static_cast<size_t>(stream->id())];
+    // Delivery phase: transmit the group read in the previous cycle;
+    // read phase: fetch the next group while still active.
+    if (buf.ready) DeliverGroup(stream, &buf, &scratch);
+    if (stream->state() == StreamState::kActive && !buf.ready &&
+        !stream->finished()) {
+      ReadNextGroup(stream, &buf, &scratch);
+    }
+  });
 }
 
 }  // namespace ftms

@@ -58,7 +58,7 @@ class StreamingRaidScheduler : public CycleScheduler {
   // still exercising real XOR reconstruction.
   static constexpr size_t kVerifyBlockBytes = 64;
 
-  // Per-shard datapath scratch (integrity mode): synthesis targets and
+  // Per-cycle datapath scratch (integrity mode): synthesis targets and
   // the multi-source pointer batch reused across tracks so the verify
   // pipeline never allocates per track.
   struct VerifyScratch {
@@ -73,14 +73,9 @@ class StreamingRaidScheduler : public CycleScheduler {
   // parity. Returns false when the repair could not run (codec error).
   bool RepairGroupBytes(GroupBuffer* buf, VerifyScratch* scratch);
 
-  // The cluster every read of `stream` lands on this cycle: the group
-  // being fetched after delivery (all C-1 data disks plus the parity disk
-  // of a group share one cluster in this layout).
-  int ShardCluster(const Stream& stream) const;
-
-  void DeliverGroup(ShardCtx& ctx, Stream* stream, GroupBuffer* buf,
+  void DeliverGroup(Stream* stream, GroupBuffer* buf,
                     VerifyScratch* scratch);
-  void ReadNextGroup(ShardCtx& ctx, Stream* stream, GroupBuffer* buf,
+  void ReadNextGroup(Stream* stream, GroupBuffer* buf,
                      VerifyScratch* scratch);
 
   std::vector<GroupBuffer> state_;  // indexed by StreamId

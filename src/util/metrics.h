@@ -26,11 +26,12 @@ namespace ftms {
 //    (or SetGlobalEnabled(true)) — tests use private instances instead.
 //  * Allocation-free recording: cells are fixed atomic slots created at
 //    registration time; Add/Set never allocate, lock or retry, so they are
-//    safe inside the cluster-parallel cycle kernels.
-//  * Determinism: every cell is either written only from serial points
+//    cheap on the hot path and safe from any thread.
+//  * Determinism: every cell is either written from serial points
 //    (gauges, histograms sampled at cycle end) or accumulated with
 //    commutative relaxed atomic adds (counters), so the exported values are
-//    bit-identical at any FTMS_THREADS setting. The one exception is
+//    bit-identical from run to run — the Monte-Carlo estimator's included,
+//    at any FTMS_THREADS setting. The one exception is
 //    HistogramCell::sum() for wall-clock inputs, which is inherently
 //    timing-dependent; nothing deterministic is derived from it.
 //
@@ -38,9 +39,8 @@ namespace ftms {
 // part before '{' is the family; all samples of one family must share a
 // kind. LabeledName() builds such names without hand-quoting.
 
-// Monotonic counter. Relaxed atomic adds: concurrent increments from
-// cluster kernels fold commutatively, so totals are thread-count
-// invariant.
+// Monotonic counter. Relaxed atomic adds: concurrent increments fold
+// commutatively, so totals are thread-count invariant.
 class Counter {
  public:
   void Add(int64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }

@@ -87,62 +87,33 @@ ThreadPool& ThreadPool::Shared() {
   return *pool;
 }
 
-namespace {
-
-// Ceiling-division chunk width for splitting `count` elements over at most
-// `pool->size()` chunks. With ceil division the number of NON-EMPTY chunks
-// is ceil(count / per_chunk), which can be smaller than the pool size
-// (e.g. 9 elements on 8 threads -> 5 chunks of <= 2); ParallelChunkCount
-// reports that corrected number so chunk indices are always dense.
-int64_t PerChunk(const ThreadPool* pool, int64_t count) {
-  const int64_t target = std::min<int64_t>(pool->size(), count);
-  return (count + target - 1) / target;
-}
-
-}  // namespace
-
-int64_t ParallelChunkCount(const ThreadPool* pool, int64_t begin,
-                           int64_t end) {
-  if (begin >= end) return 0;
+void ParallelFor(ThreadPool* pool, int64_t begin, int64_t end,
+                 const std::function<void(int64_t, int64_t)>& body) {
+  if (begin >= end) return;
   const int64_t count = end - begin;
-  if (pool == nullptr || pool->size() <= 1 || count <= 1) return 1;
-  const int64_t per_chunk = PerChunk(pool, count);
-  return (count + per_chunk - 1) / per_chunk;
-}
-
-void ParallelForChunks(
-    ThreadPool* pool, int64_t begin, int64_t end,
-    const std::function<void(int64_t, int64_t, int64_t)>& body) {
-  const int64_t chunks = ParallelChunkCount(pool, begin, end);
-  if (chunks == 0) return;
-  if (chunks == 1) {
-    body(0, begin, end);
+  if (pool == nullptr || pool->size() <= 1 || count <= 1) {
+    body(begin, end);
     return;
   }
-  const int64_t per_chunk = PerChunk(pool, end - begin);
+  // Ceiling division over at most pool->size() chunks. The number of
+  // non-empty chunks can be smaller than the pool (9 elements on 8
+  // workers -> 5 chunks of <= 2).
+  const int64_t target = std::min<int64_t>(pool->size(), count);
+  const int64_t per_chunk = (count + target - 1) / target;
 
   std::mutex mu;
   std::condition_variable done_cv;
-  int64_t remaining = chunks;
-  for (int64_t chunk = 0; chunk < chunks; ++chunk) {
-    const int64_t lo = begin + chunk * per_chunk;
+  int64_t remaining = (count + per_chunk - 1) / per_chunk;
+  for (int64_t lo = begin; lo < end; lo += per_chunk) {
     const int64_t hi = std::min(lo + per_chunk, end);
-    pool->Submit([&, chunk, lo, hi] {
-      body(chunk, lo, hi);
+    pool->Submit([&, lo, hi] {
+      body(lo, hi);
       std::lock_guard<std::mutex> lock(mu);
       if (--remaining == 0) done_cv.notify_one();
     });
   }
   std::unique_lock<std::mutex> lock(mu);
   done_cv.wait(lock, [&] { return remaining == 0; });
-}
-
-void ParallelFor(ThreadPool* pool, int64_t begin, int64_t end,
-                 const std::function<void(int64_t, int64_t)>& body) {
-  ParallelForChunks(pool, begin, end,
-                    [&body](int64_t /*chunk*/, int64_t lo, int64_t hi) {
-                      body(lo, hi);
-                    });
 }
 
 }  // namespace ftms

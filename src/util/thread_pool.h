@@ -67,26 +67,13 @@ class ThreadPool {
   class Gauge* queue_depth_gauge_ = nullptr;
 };
 
-// Number of chunks ParallelForChunks will split [begin, end) into: a pure
-// function of the range and the pool size (never of scheduling order), so
-// callers can pre-size per-chunk scratch state. 0 for an empty range; 1
-// when the work runs inline (null pool, single-thread pool, or a range of
-// at most one element).
-int64_t ParallelChunkCount(const ThreadPool* pool, int64_t begin,
-                           int64_t end);
-
-// Splits [begin, end) into ParallelChunkCount() contiguous chunks and runs
-// `body(chunk, chunk_begin, chunk_end)` on the pool, blocking until every
-// chunk is done. Chunk indices are dense (0 .. count-1) and ordered by
-// range position, so per-chunk scratch written by the body can be folded
-// in chunk order afterwards for results that are bit-identical at any
-// thread count. Runs inline (no pool hop) when ParallelChunkCount() is 1.
-void ParallelForChunks(
-    ThreadPool* pool, int64_t begin, int64_t end,
-    const std::function<void(int64_t, int64_t, int64_t)>& body);
-
-// Index-only convenience wrapper over ParallelForChunks: body receives
-// just (chunk_begin, chunk_end).
+// Splits [begin, end) into at most pool->size() contiguous chunks and
+// runs `body(chunk_begin, chunk_end)` for each on the pool, blocking until
+// every chunk is done. The chunk boundaries depend only on the range and
+// the pool size, never on scheduling order, so results the body writes by
+// index are bit-identical at any thread count. Runs inline as one chunk
+// (no pool hop) with a null or one-worker pool or a range of at most one
+// element; an empty range never calls the body.
 void ParallelFor(ThreadPool* pool, int64_t begin, int64_t end,
                  const std::function<void(int64_t, int64_t)>& body);
 

@@ -28,8 +28,9 @@ class Gauge;
 // Every series is a fixed-capacity ring with on-the-fly 2x downsampling:
 // when a ring fills, every other point is dropped and the series' stride
 // doubles, so a run of any length keeps a uniform-cadence curve in
-// bounded memory. Appends and samples must happen at serial sync points
-// only — that is what keeps dumps byte-identical at any FTMS_THREADS.
+// bounded memory. Appends and samples happen at cycle ends and other
+// deterministic sync points only — that is what keeps dumps
+// byte-identical from run to run.
 //
 // Zero-cost-off follows the metrics registry's pattern: components hold a
 // nullable TimeSeriesRecorder*; Global() is only handed out when
@@ -95,7 +96,7 @@ class TimeSeriesRecorder {
 
   // JSON dump: {"schema": 1, "series": {name: {"stride": s,
   // "t": [...], "v": [...]}}} with series sorted by name — the dump is
-  // byte-identical across FTMS_THREADS settings.
+  // byte-identical from run to run.
   std::string ToJson() const;
   // Long-format CSV: series,t_us,value rows, series sorted by name.
   std::string ToCsv() const;

@@ -34,65 +34,6 @@ TEST(BufferPoolTest, ResetPeak) {
   EXPECT_EQ(pool.peak_in_use(), 0);
 }
 
-TEST(BufferPoolTest, ShardDeltaTracksNetAndRunningPeak) {
-  BufferPool::ShardDelta shard;
-  EXPECT_TRUE(shard.empty());
-  shard.Acquire(5);
-  shard.Release(2);
-  shard.Acquire(4);  // running net 7 = new peak
-  shard.Release(7);
-  EXPECT_EQ(shard.net(), 0);
-  EXPECT_EQ(shard.peak(), 7);
-  EXPECT_FALSE(shard.empty());  // a nonzero peak is still information
-  shard.Reset();
-  EXPECT_TRUE(shard.empty());
-}
-
-TEST(BufferPoolTest, AccumulateShardMatchesInlineExecution) {
-  // Two shards of one cycle, folded in cluster order, must land on the
-  // same occupancy and peak as running their traffic inline.
-  BufferPool inline_pool(0);
-  EXPECT_TRUE(inline_pool.Acquire(10).ok());  // shard 0
-  EXPECT_TRUE(inline_pool.Acquire(25).ok());  // shard 1
-  inline_pool.Release(5);
-
-  BufferPool sharded(0);
-  BufferPool::ShardDelta s0;
-  BufferPool::ShardDelta s1;
-  s0.Acquire(10);
-  s1.Acquire(25);
-  EXPECT_TRUE(sharded.AccumulateShard(s0).ok());
-  EXPECT_TRUE(sharded.AccumulateShard(s1).ok());
-  sharded.Release(5);
-  EXPECT_EQ(sharded.in_use(), inline_pool.in_use());
-  EXPECT_EQ(sharded.peak_in_use(), inline_pool.peak_in_use());
-}
-
-TEST(BufferPoolTest, AccumulateShardAppliesPeakOverCurrentOccupancy) {
-  BufferPool pool(0);
-  EXPECT_TRUE(pool.Acquire(100).ok());
-  BufferPool::ShardDelta shard;
-  shard.Acquire(40);
-  shard.Release(40);  // net 0, but the shard transiently held 40
-  EXPECT_TRUE(pool.AccumulateShard(shard).ok());
-  EXPECT_EQ(pool.in_use(), 100);
-  EXPECT_EQ(pool.peak_in_use(), 140);
-}
-
-TEST(BufferPoolTest, AccumulateShardRespectsFiniteCapacity) {
-  BufferPool pool(50);
-  EXPECT_TRUE(pool.Acquire(30).ok());
-  BufferPool::ShardDelta shard;
-  shard.Acquire(25);
-  EXPECT_EQ(pool.AccumulateShard(shard).code(),
-            StatusCode::kResourceExhausted);
-  EXPECT_EQ(pool.in_use(), 30);  // failed fold applies nothing
-  shard.Reset();
-  shard.Acquire(20);
-  EXPECT_TRUE(pool.AccumulateShard(shard).ok());
-  EXPECT_EQ(pool.in_use(), 50);
-}
-
 TEST(BufferServerPoolTest, ServesUpToKClusters) {
   // Section 3: K shared buffer servers; the (K+1)-st failed cluster finds
   // the pool empty -> degradation of service.

@@ -24,6 +24,12 @@ struct GoldenRow {
   int stagger_every;
   SchedulerMetrics want;
   int64_t want_buffer_peak;
+  // Mid-cycle failure of disk 1 after 30 cycles, repaired 30 cycles
+  // later; false runs the same 40 cycles healthy.
+  bool fail = true;
+  int64_t tracks = 100000;
+  // Every n-th stream (from stream 0) at 3x the base rate; 0 = none.
+  int fast_every = 0;
 };
 
 SchedulerMetrics Metrics(int64_t cycles, int64_t data_reads,
@@ -65,40 +71,82 @@ std::vector<GoldenRow> GoldenRows() {
   };
 }
 
-TEST(GoldenMetricsTest, FullFarmRunsMatchPreRewriteMetrics) {
-  for (const GoldenRow& row : GoldenRows()) {
-    SCOPED_TRACE(std::string(SchemeName(row.scheme)) + " x " +
-                 std::to_string(row.streams));
-    SchedRig rig = MakeRig(row.scheme, row.c, row.disks);
-    const int clusters = rig.layout->num_clusters();
-    for (int i = 0; i < row.streams; ++i) {
-      rig.sched->AddStream(TestObject(i % clusters, 100000)).value();
-      if (row.stagger_every > 0 &&
-          i % row.stagger_every == row.stagger_every - 1) {
-        rig.sched->RunCycle();
-      }
+// Pins for the cases the Table-1 rows above leave open, captured from
+// the serial schedule (every cycle in admission order): both dual-parity
+// farms, the four schemes without a failure, and an NC population whose
+// every seventh stream runs at 3x the base rate (its bursts can touch two
+// clusters in one cycle). SR-2's drops and hiccups come from its one-track
+// cycle (CycleSeconds uses k' = 1 for it); they are pinned as they are.
+std::vector<GoldenRow> SerialScheduleRows() {
+  constexpr bool kHealthy = false;
+  return {
+      {Scheme::kStreamingRaid2, 6, 96, 832, 0,
+       Metrics(70, 53400, 26880, 360, 268800, 52992, 176640, 360, 0, 0, 0),
+       9984},
+      {Scheme::kNonClustered2, 6, 96, 768, 12,
+       Metrics(134, 78324, 348, 0, 36, 77904, 48, 348, 0, 0, 0), 1596},
+      {Scheme::kStreamingRaid, 5, 100, 1040, 0,
+       Metrics(40, 166400, 41600, 0, 0, 162240, 0, 0, 0, 0, 0), 10400,
+       kHealthy},
+      {Scheme::kStaggeredGroup, 5, 100, 960, 0,
+       Metrics(40, 38400, 9600, 0, 0, 36000, 0, 0, 0, 0, 0), 4560, kHealthy},
+      {Scheme::kNonClustered, 5, 100, 960, 12,
+       Metrics(120, 77280, 0, 0, 0, 76320, 0, 0, 0, 0, 0), 1920, kHealthy},
+      {Scheme::kImprovedBandwidth, 5, 96, 960, 0,
+       Metrics(40, 153600, 0, 0, 0, 149760, 0, 0, 0, 0, 0), 7680, kHealthy},
+      {Scheme::kNonClustered, 5, 100, 400, 12,
+       Metrics(103, 44609, 190, 0, 1, 44283, 5, 190, 0, 0, 0), 1067,
+       /*fail=*/true, /*tracks=*/9996, /*fast_every=*/7},
+  };
+}
+
+void ExpectRowMatches(const GoldenRow& row) {
+  SCOPED_TRACE(std::string(SchemeName(row.scheme)) + " x " +
+               std::to_string(row.streams) +
+               (row.fail ? " with failure" : " healthy"));
+  SchedRig rig = MakeRig(row.scheme, row.c, row.disks);
+  const int clusters = rig.layout->num_clusters();
+  for (int i = 0; i < row.streams; ++i) {
+    const bool fast = row.fast_every > 0 && i % row.fast_every == 0;
+    rig.sched
+        ->AddStream(TestObject(i % clusters, row.tracks,
+                               fast ? 3 * 0.1875 : 0.1875))
+        .value();
+    if (row.stagger_every > 0 &&
+        i % row.stagger_every == row.stagger_every - 1) {
+      rig.sched->RunCycle();
     }
-    rig.sched->RunCycles(30);
+  }
+  rig.sched->RunCycles(30);
+  if (row.fail) {
     rig.sched->OnDiskFailed(1, /*mid_cycle=*/true);
     rig.sched->RunCycles(30);
     rig.sched->OnDiskRepaired(1);
-    rig.sched->RunCycles(10);
-
-    const SchedulerMetrics& m = rig.sched->metrics();
-    EXPECT_EQ(m.cycles, row.want.cycles);
-    EXPECT_EQ(m.data_reads, row.want.data_reads);
-    EXPECT_EQ(m.parity_reads, row.want.parity_reads);
-    EXPECT_EQ(m.failed_reads, row.want.failed_reads);
-    EXPECT_EQ(m.dropped_reads, row.want.dropped_reads);
-    EXPECT_EQ(m.tracks_delivered, row.want.tracks_delivered);
-    EXPECT_EQ(m.hiccups, row.want.hiccups);
-    EXPECT_EQ(m.reconstructed, row.want.reconstructed);
-    EXPECT_EQ(m.terminated_streams, 0);
-    EXPECT_EQ(m.degradation_events, row.want.degradation_events);
-    EXPECT_EQ(m.shift_cascades, row.want.shift_cascades);
-    EXPECT_EQ(m.max_shift_depth, row.want.max_shift_depth);
-    EXPECT_EQ(rig.sched->buffer_pool().peak_in_use(), row.want_buffer_peak);
   }
+  rig.sched->RunCycles(10);
+
+  const SchedulerMetrics& m = rig.sched->metrics();
+  EXPECT_EQ(m.cycles, row.want.cycles);
+  EXPECT_EQ(m.data_reads, row.want.data_reads);
+  EXPECT_EQ(m.parity_reads, row.want.parity_reads);
+  EXPECT_EQ(m.failed_reads, row.want.failed_reads);
+  EXPECT_EQ(m.dropped_reads, row.want.dropped_reads);
+  EXPECT_EQ(m.tracks_delivered, row.want.tracks_delivered);
+  EXPECT_EQ(m.hiccups, row.want.hiccups);
+  EXPECT_EQ(m.reconstructed, row.want.reconstructed);
+  EXPECT_EQ(m.terminated_streams, 0);
+  EXPECT_EQ(m.degradation_events, row.want.degradation_events);
+  EXPECT_EQ(m.shift_cascades, row.want.shift_cascades);
+  EXPECT_EQ(m.max_shift_depth, row.want.max_shift_depth);
+  EXPECT_EQ(rig.sched->buffer_pool().peak_in_use(), row.want_buffer_peak);
+}
+
+TEST(GoldenMetricsTest, FullFarmRunsMatchPreRewriteMetrics) {
+  for (const GoldenRow& row : GoldenRows()) ExpectRowMatches(row);
+}
+
+TEST(GoldenMetricsTest, SerialScheduleRowsMatch) {
+  for (const GoldenRow& row : SerialScheduleRows()) ExpectRowMatches(row);
 }
 
 }  // namespace

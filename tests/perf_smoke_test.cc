@@ -7,9 +7,9 @@ namespace ftms {
 namespace {
 
 // Tier-1 smoke for the parallel simulation engine (ctest label
-// `perf_smoke`): a tiny reliability sim actually dispatched over the
-// shared pool, so the pool + ParallelFor + per-trial RNG plumbing is
-// exercised on every test run, not only when someone runs the benches.
+// `perf_smoke`): a tiny reliability sim actually dispatched over a worker
+// pool, so the pool + ParallelFor + per-trial RNG plumbing is exercised on
+// every test run, not only when someone runs the benches.
 
 TEST(PerfSmokeTest, ParallelReliabilitySimRuns) {
   ReliabilitySimConfig config;
@@ -18,7 +18,7 @@ TEST(PerfSmokeTest, ParallelReliabilitySimRuns) {
   config.mttf_hours = 500.0;
   config.mttr_hours = 5.0;
   config.trials = 64;
-  config.threads = 4;  // force pool dispatch even on 1-CPU machines
+  config.threads = 4;  // a 4-worker pool whatever FTMS_THREADS says
   const ReliabilityEstimate est = EstimateMttfCatastrophic(config).value();
   EXPECT_EQ(est.trials, config.trials);
   EXPECT_GT(est.mean_hours, 0);

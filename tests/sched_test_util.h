@@ -25,9 +25,6 @@ struct RigOptions {
   bool ib_prefetch_parity = false;
   bool ib_mirror_read_balance = false;
   double object_rate_mb_s = 0.1875;
-  // Worker threads for cluster-parallel cycles (SchedulerConfig::threads):
-  // 0 = shared pool, 1 = serial, N > 1 = private N-worker pool.
-  int threads = 0;
   // Private observability sinks (null = uninstrumented, the default).
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
@@ -64,7 +61,6 @@ inline SchedRig MakeRig(Scheme scheme, int parity_group_size, int num_disks,
   config.buffer_servers = options.buffer_servers;
   config.ib_prefetch_parity = options.ib_prefetch_parity;
   config.ib_mirror_read_balance = options.ib_mirror_read_balance;
-  config.threads = options.threads;
   config.metrics = options.metrics;
   config.tracer = options.tracer;
   config.journal = options.journal;

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "util/disk_set.h"
@@ -115,63 +118,58 @@ TEST(DiskSetTest, InitializerListMatchesTestLiterals) {
   EXPECT_EQ(pair.count(), 2);
 }
 
-TEST(ParallelForChunksTest, ChunkIndicesAreDenseAndCoverTheRange) {
+TEST(ParallelForPartitionTest, ChunksAreDenseAndCoverTheRange) {
   ThreadPool pool(8);
   // 9 elements over 8 workers: ceil division gives 2-element chunks, so
-  // only 5 chunks exist — the count must not report empty tail chunks.
-  const int64_t chunks = ParallelChunkCount(&pool, 0, 9);
-  EXPECT_EQ(chunks, 5);
+  // only 5 chunks run — no empty tail chunks reach the body.
   std::vector<std::atomic<int>> covered(9);
-  std::vector<std::atomic<int>> chunk_seen(static_cast<size_t>(chunks));
-  ParallelForChunks(&pool, 0, 9,
-                    [&](int64_t chunk, int64_t lo, int64_t hi) {
-                      ASSERT_GE(chunk, 0);
-                      ASSERT_LT(chunk, chunks);
-                      ++chunk_seen[static_cast<size_t>(chunk)];
-                      for (int64_t i = lo; i < hi; ++i) {
-                        ++covered[static_cast<size_t>(i)];
-                      }
-                    });
+  std::atomic<int> calls{0};
+  ParallelFor(&pool, 0, 9, [&](int64_t lo, int64_t hi) {
+    ASSERT_LT(lo, hi);
+    ++calls;
+    for (int64_t i = lo; i < hi; ++i) ++covered[static_cast<size_t>(i)];
+  });
+  EXPECT_EQ(calls.load(), 5);
   for (auto& c : covered) EXPECT_EQ(c.load(), 1);
-  for (auto& c : chunk_seen) EXPECT_EQ(c.load(), 1);
 }
 
-TEST(ParallelForChunksTest, NullPoolAndEmptyRangesRunInline) {
-  EXPECT_EQ(ParallelChunkCount(nullptr, 0, 100), 1);
-  EXPECT_EQ(ParallelChunkCount(nullptr, 5, 5), 0);
+TEST(ParallelForPartitionTest, NullPoolAndEmptyRangesRunInline) {
   int calls = 0;
   int64_t seen_lo = -1;
   int64_t seen_hi = -1;
-  ParallelForChunks(nullptr, 2, 40,
-                    [&](int64_t chunk, int64_t lo, int64_t hi) {
-                      ++calls;
-                      EXPECT_EQ(chunk, 0);
-                      seen_lo = lo;
-                      seen_hi = hi;
-                    });
+  ParallelFor(nullptr, 2, 40, [&](int64_t lo, int64_t hi) {
+    ++calls;
+    seen_lo = lo;
+    seen_hi = hi;
+  });
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(seen_lo, 2);
   EXPECT_EQ(seen_hi, 40);
-  ParallelForChunks(nullptr, 7, 7,
-                    [&](int64_t, int64_t, int64_t) { ++calls; });
+  ParallelFor(nullptr, 7, 7, [&](int64_t, int64_t) { ++calls; });
   EXPECT_EQ(calls, 1);  // empty range: body never runs
 }
 
-TEST(ParallelForChunksTest, PartitionIsAFunctionOfRangeNotThreads) {
+TEST(ParallelForPartitionTest, PartitionIsAFunctionOfRangeNotThreads) {
   // The chunk boundaries for a given (range, pool size) are fixed, so
-  // per-chunk results folded in chunk order are bit-identical run to run.
+  // results written by index are bit-identical run to run.
   ThreadPool pool(4);
-  const int64_t chunks = ParallelChunkCount(&pool, 10, 110);
-  std::vector<std::pair<int64_t, int64_t>> bounds(
-      static_cast<size_t>(chunks));
-  ParallelForChunks(&pool, 10, 110,
-                    [&](int64_t chunk, int64_t lo, int64_t hi) {
-                      bounds[static_cast<size_t>(chunk)] = {lo, hi};
-                    });
+  const auto bounds_of_one_run = [&pool] {
+    std::mutex mu;
+    std::vector<std::pair<int64_t, int64_t>> bounds;
+    ParallelFor(&pool, 10, 110, [&](int64_t lo, int64_t hi) {
+      std::lock_guard<std::mutex> lock(mu);
+      bounds.emplace_back(lo, hi);
+    });
+    std::sort(bounds.begin(), bounds.end());
+    return bounds;
+  };
+  const auto bounds = bounds_of_one_run();
+  EXPECT_EQ(bounds_of_one_run(), bounds);
+  ASSERT_EQ(bounds.size(), 4u);
   int64_t expect_lo = 10;
   for (const auto& [lo, hi] : bounds) {
     EXPECT_EQ(lo, expect_lo);
-    EXPECT_GT(hi, lo);
+    EXPECT_EQ(hi - lo, 25);
     expect_lo = hi;
   }
   EXPECT_EQ(expect_lo, 110);

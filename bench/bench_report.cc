@@ -1,6 +1,5 @@
 #include "bench/bench_report.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -9,6 +8,7 @@
 #include "parity/xor_kernels.h"
 #include "qos/event_journal.h"
 #include "sim/event_queue.h"
+#include "util/json.h"
 #include "util/metrics.h"
 #include "util/profiler.h"
 #include "util/thread_pool.h"
@@ -16,21 +16,6 @@
 #include "util/trace_event.h"
 
 namespace ftms::bench {
-namespace {
-
-// Formats a double compactly without losing round-trip precision for the
-// magnitudes benches produce (counts, seconds, rates).
-void AppendNumber(std::string* out, double v) {
-  char buf[64];
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-  }
-  out->append(buf);
-}
-
-}  // namespace
 
 void Reporter::Set(const std::string& key, double value) {
   for (auto& [k, v] : metrics_) {
@@ -61,7 +46,9 @@ std::string Reporter::WriteJson() const {
   // the embedded profile sees everything.
   if (prof) Profiler::FoldAtSyncPoint();
 
-  std::string json = "{\n  \"bench\": \"" + name_ + "\",\n";
+  std::string json = "{\n  \"bench\": ";
+  AppendJsonString(&json, name_);
+  json += ",\n";
   json += "  \"schema_version\": " + std::to_string(kSchemaVersion) + ",\n";
   // Environment stamp: anything that changes what the timings mean.
   json += "  \"env\": {\n";
@@ -88,8 +75,10 @@ std::string Reporter::WriteJson() const {
   json += "  },\n";
   json += "  \"metrics\": {\n";
   for (size_t i = 0; i < metrics_.size(); ++i) {
-    json += "    \"" + metrics_[i].first + "\": ";
-    AppendNumber(&json, metrics_[i].second);
+    json += "    ";
+    AppendJsonString(&json, metrics_[i].first);
+    json += ": ";
+    AppendJsonNumber(&json, metrics_[i].second, 6);
     json += i + 1 < metrics_.size() ? ",\n" : "\n";
   }
   json += "  }";
@@ -111,13 +100,10 @@ std::string Reporter::WriteJson() const {
   }
   json += "\n}\n";
 
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
+  if (!WriteTextFile(path, json).ok()) {
     std::fprintf(stderr, "bench_report: cannot write %s\n", path.c_str());
     return "";
   }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
 
   if (registry != nullptr) {

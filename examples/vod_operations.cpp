@@ -3,7 +3,7 @@
 // viewers queueing when admission is full, a disk failure with online
 // spare rebuild, and a per-cycle CSV timeline written for plotting.
 //
-//   $ ./vod_operations [minutes_simulated] [trace.csv]
+//   $ ./vod_operations [minutes_simulated] [timeline.csv]
 
 #include <cstdio>
 #include <cstdlib>
@@ -11,17 +11,19 @@
 #include <set>
 #include <string>
 
+#include "layout/schemes.h"
 #include "server/server.h"
 #include "server/staging.h"
-#include "server/trace.h"
 #include "stream/request_queue.h"
 #include "stream/workload.h"
+#include "util/metrics.h"
+#include "util/timeseries.h"
 #include "util/units.h"
 
 int main(int argc, char** argv) {
   using namespace ftms;
   const double minutes = argc > 1 ? std::atof(argv[1]) : 20.0;
-  const std::string trace_path =
+  const std::string timeline_path =
       argc > 2 ? argv[2] : "/tmp/ftms_vod_timeline.csv";
 
   // A deliberately small server so admission pressure and staging churn
@@ -33,7 +35,41 @@ int main(int argc, char** argv) {
   config.params.k_reserve = 2;
   config.params.disk.capacity_mb = 50.0;  // 1000 tracks per disk
   config.admission_override = 12;
+  // Per-cycle timeline: the scheduler pushes its own curves (active
+  // streams, buffer occupancy, hiccups, degraded reads, disk queue depth)
+  // at every cycle end and samples the registry series added below at the
+  // same point.
+  TimeSeriesRecorder timeline;
+  config.timeseries = &timeline;
+  MetricsRegistry::SetGlobalEnabled(true);
   auto server = std::move(MultimediaServer::Create(config).value());
+
+  const MetricsRegistry& registry = MetricsRegistry::Global();
+  const std::string scheme(SchemeAbbrev(config.scheme));
+  const std::string series =
+      "sched." + server->scheduler().timeseries_prefix() + ".";
+  const auto counter = [&](std::string_view family) {
+    return registry.FindCounter(LabeledName(family, {{"scheme", scheme}}));
+  };
+  timeline.AddCounterSeries(series + "delivered_per_s",
+                            counter("ftms_sched_tracks_delivered_total"),
+                            /*as_rate=*/true);
+  timeline.AddCounterSeries(series + "dropped_reads_per_s",
+                            counter("ftms_sched_dropped_reads_total"),
+                            /*as_rate=*/true);
+  for (int c = 0; c < server->scheduler().num_clusters(); ++c) {
+    const std::string cluster = std::to_string(c);
+    timeline.AddCounterSeries(
+        series + "reconstructed_per_s.cluster" + cluster,
+        registry.FindCounter(
+            LabeledName("ftms_sched_reconstructions_total",
+                        {{"scheme", scheme}, {"cluster", cluster}})),
+        /*as_rate=*/true);
+  }
+  timeline.AddGaugeSeries(
+      series + "failed_disks",
+      registry.FindGauge(
+          LabeledName("ftms_sched_failed_disks", {{"scheme", scheme}})));
 
   // The permanent library lives on tape; only a few titles fit on disk.
   TertiaryStore tertiary{TertiaryParameters{}};
@@ -58,7 +94,6 @@ int main(int argc, char** argv) {
   wconfig.seed = 7;
   WorkloadGenerator workload(wconfig, library);
   RequestQueue queue(/*patience_s=*/300.0);
-  TraceRecorder trace(&server->scheduler(), &server->disks());
 
   const double horizon_s = minutes * 60.0;
   std::vector<StreamRequest> arrivals = workload.GenerateUntil(horizon_s);
@@ -107,7 +142,6 @@ int main(int argc, char** argv) {
       std::printf("[%8.1f s] disk 2 failed; spare rebuild started\n", now);
     }
     server->RunCycles(1);
-    trace.Sample();
     // Titles with no active stream become evictable.
     std::set<int> still_active;
     for (const auto& s : server->scheduler().streams()) {
@@ -118,7 +152,7 @@ int main(int argc, char** argv) {
     active_titles = still_active;
   }
 
-  WriteCsv(trace.samples(), trace_path).ok();
+  timeline.WriteCsv(timeline_path).ok();
   const SchedulerMetrics& m = server->scheduler().metrics();
   std::printf("\n==== end of shift (%.0f min simulated) ====\n", minutes);
   std::printf("viewers served            : %d (of %zu arrivals)\n", served,
@@ -138,7 +172,8 @@ int main(int argc, char** argv) {
   std::printf("delivered / hiccups       : %lld / %lld\n",
               static_cast<long long>(m.tracks_delivered),
               static_cast<long long>(m.hiccups));
-  std::printf("timeline CSV              : %s (%zu cycles)\n",
-              trace_path.c_str(), trace.samples().size());
+  std::printf("timeline CSV              : %s (%zu series, %lld cycles)\n",
+              timeline_path.c_str(), timeline.num_series(),
+              static_cast<long long>(server->scheduler().cycle()));
   return 0;
 }

@@ -6,20 +6,11 @@
 #include <map>
 
 #include "layout/schemes.h"
+#include "util/json.h"
 
 namespace ftms {
 
 namespace {
-
-void AppendDouble(std::string* out, double v) {
-  char buf[64];
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-  }
-  out->append(buf);
-}
 
 ConformanceFinding NotApplicable(std::string check, std::string why) {
   ConformanceFinding f;
@@ -288,9 +279,9 @@ std::string ConformanceWatchdog::FormatTable(
     std::string bound = "-";
     if (f.applicable) {
       observed.clear();
-      AppendDouble(&observed, f.observed);
+      AppendJsonNumber(&observed, f.observed, 9);
       bound.clear();
-      AppendDouble(&bound, f.bound);
+      AppendJsonNumber(&bound, f.bound, 9);
     }
     std::snprintf(line, sizeof(line), "%-30s %-10s %10s %10s  %s\n",
                   f.check.c_str(), status, observed.c_str(), bound.c_str(),
@@ -307,15 +298,19 @@ std::string ConformanceWatchdog::ToJson(
   for (size_t i = 0; i < findings.size(); ++i) {
     const ConformanceFinding& f = findings[i];
     out += i == 0 ? "\n" : ",\n";
-    out += indent + "{\"check\": \"" + f.check + "\", \"ok\": ";
+    out += indent + "{\"check\": ";
+    AppendJsonString(&out, f.check);
+    out += ", \"ok\": ";
     out += f.ok ? "true" : "false";
     out += ", \"applicable\": ";
     out += f.applicable ? "true" : "false";
     out += ", \"observed\": ";
-    AppendDouble(&out, f.observed);
+    AppendJsonNumber(&out, f.observed, 9);
     out += ", \"bound\": ";
-    AppendDouble(&out, f.bound);
-    out += ", \"detail\": \"" + f.detail + "\"}";
+    AppendJsonNumber(&out, f.bound, 9);
+    out += ", \"detail\": ";
+    AppendJsonString(&out, f.detail);
+    out += "}";
   }
   out += findings.empty() ? "]" : "\n]";
   return out;

@@ -1,10 +1,10 @@
 #include "qos/event_journal.h"
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include "util/json.h"
 #include "util/metrics.h"
 
 namespace ftms {
@@ -18,29 +18,23 @@ bool ResolveGlobalEnabledFromEnv() {
   return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
 }
 
-void AppendInt(std::string* out, int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  out->append(buf);
-}
-
 void AppendEventJson(std::string* out, const QosEvent& e) {
   out->append("{\"kind\":\"");
   out->append(QosEventKindName(e.kind));
   out->append("\",\"scheme\":\"");
   out->append(e.scheme);
   out->append("\",\"sim_us\":");
-  AppendInt(out, e.sim_us);
+  AppendJsonInt(out, e.sim_us);
   out->append(",\"cycle\":");
-  AppendInt(out, e.cycle);
+  AppendJsonInt(out, e.cycle);
   out->append(",\"disk\":");
-  AppendInt(out, e.disk);
+  AppendJsonInt(out, e.disk);
   out->append(",\"cluster\":");
-  AppendInt(out, e.cluster);
+  AppendJsonInt(out, e.cluster);
   out->append(",\"stream\":");
-  AppendInt(out, e.stream);
+  AppendJsonInt(out, e.stream);
   out->append(",\"value\":");
-  AppendInt(out, e.value);
+  AppendJsonInt(out, e.value);
   out->append("}");
 }
 
@@ -49,10 +43,10 @@ void AppendEventJson(std::string* out, const QosEvent& e) {
 void AppendDroppedFooter(std::string* out, int64_t sim_us,
                          int64_t dropped) {
   out->append("{\"kind\":\"journal_dropped\",\"scheme\":\"sim\",\"sim_us\":");
-  AppendInt(out, sim_us);
+  AppendJsonInt(out, sim_us);
   out->append(",\"cycle\":-1,\"disk\":-1,\"cluster\":-1,\"stream\":-1,"
               "\"value\":");
-  AppendInt(out, dropped);
+  AppendJsonInt(out, dropped);
   out->append("}\n");
 }
 
@@ -210,17 +204,7 @@ std::string EventJournal::ToJsonl() const {
 }
 
 Status EventJournal::WriteJsonl(const std::string& path) const {
-  const std::string text = ToJsonl();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Unavailable("cannot open " + path + " for writing");
-  }
-  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (written != text.size()) {
-    return Status::Unavailable("short write to " + path);
-  }
-  return Status::Ok();
+  return WriteTextFile(path, ToJsonl());
 }
 
 std::string EventJournal::StatsJson(const std::string& indent,
@@ -254,7 +238,7 @@ std::string EventJournal::StatsJson(const std::string& indent,
   std::string out = "{\n";
   out += indent;
   out += "\"journal_events\": ";
-  AppendInt(&out, static_cast<int64_t>(total));
+  AppendJsonInt(&out, static_cast<int64_t>(total));
   for (size_t i = 0; i < sizeof(kKinds) / sizeof(kKinds[0]); ++i) {
     if (counts[i] == 0) continue;
     out += ",\n";
@@ -262,13 +246,13 @@ std::string EventJournal::StatsJson(const std::string& indent,
     out += '"';
     out += QosEventKindName(kKinds[i]);
     out += "\": ";
-    AppendInt(&out, counts[i]);
+    AppendJsonInt(&out, counts[i]);
   }
   if (dropped > 0) {
     out += ",\n";
     out += indent;
     out += "\"journal_dropped\": ";
-    AppendInt(&out, dropped);
+    AppendJsonInt(&out, dropped);
   }
   out += "\n" + close_indent + "}";
   return out;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
+#include "util/json.h"
 #include "util/timeseries.h"
 
 namespace ftms {
@@ -22,22 +22,6 @@ const char* StateName(StreamState state) {
       return "terminated";
   }
   return "unknown";
-}
-
-void AppendInt(std::string* out, int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  out->append(buf);
-}
-
-void AppendDouble(std::string* out, double v) {
-  char buf[64];
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-  }
-  out->append(buf);
 }
 
 // p99 of admission-to-first-delivery latencies (nearest-rank on a sorted
@@ -320,35 +304,35 @@ std::string QosLedger::DumpJson(
   const std::string in1 = indent;
   const std::string in2 = indent + indent;
   out += in1 + "\"cycles_observed\": ";
-  AppendInt(&out, cycles_observed_);
+  AppendJsonInt(&out, cycles_observed_);
   out += ",\n" + in1 + "\"failures_observed\": ";
-  AppendInt(&out, failures_observed_);
+  AppendJsonInt(&out, failures_observed_);
   out += ",\n" + in1 + "\"degraded_stream_cycles\": ";
-  AppendInt(&out, degraded_stream_cycles_);
+  AppendJsonInt(&out, degraded_stream_cycles_);
   out += ",\n" + in1 + "\"active_breaches\": ";
-  AppendInt(&out, active_breaches_);
+  AppendJsonInt(&out, active_breaches_);
   out += ",\n" + in1 + "\"breach_events\": ";
-  AppendInt(&out, breach_events_);
+  AppendJsonInt(&out, breach_events_);
   out += ",\n" + in1 + "\"streams\": [";
   for (size_t i = 0; i < records.size(); ++i) {
     const StreamQosRecord& r = records[i];
     out += i == 0 ? "\n" : ",\n";
     out += in2 + "{\"id\": ";
-    AppendInt(&out, r.id);
+    AppendJsonInt(&out, r.id);
     out += ", \"state\": \"";
     out += StateName(r.state);
     out += "\", \"admitted_cycle\": ";
-    AppendInt(&out, r.admitted_cycle);
+    AppendJsonInt(&out, r.admitted_cycle);
     out += ", \"startup_cycles\": ";
-    AppendInt(&out, r.startup_cycles);
+    AppendJsonInt(&out, r.startup_cycles);
     out += ", \"delivered\": ";
-    AppendInt(&out, r.delivered);
+    AppendJsonInt(&out, r.delivered);
     out += ", \"hiccups\": ";
-    AppendInt(&out, r.hiccups);
+    AppendJsonInt(&out, r.hiccups);
     out += ", \"degraded_cycles\": ";
-    AppendInt(&out, r.degraded_cycles);
+    AppendJsonInt(&out, r.degraded_cycles);
     out += ", \"continuity\": ";
-    AppendDouble(&out, r.continuity);
+    AppendJsonNumber(&out, r.continuity, 9);
     out += "}";
   }
   out += records.empty() ? "]" : "\n" + in1 + "]";
@@ -356,12 +340,14 @@ std::string QosLedger::DumpJson(
   for (size_t i = 0; i < statuses.size(); ++i) {
     const SloStatus& s = statuses[i];
     out += i == 0 ? "\n" : ",\n";
-    out += in2 + "{\"name\": \"" + s.spec.name + "\", \"observed\": ";
-    AppendDouble(&out, s.observed);
+    out += in2 + "{\"name\": ";
+    AppendJsonString(&out, s.spec.name);
+    out += ", \"observed\": ";
+    AppendJsonNumber(&out, s.observed, 9);
     out += ", \"bound\": ";
-    AppendDouble(&out, s.effective_bound);
+    AppendJsonNumber(&out, s.effective_bound, 9);
     out += ", \"budget_burn\": ";
-    AppendDouble(&out, s.budget_burn);
+    AppendJsonNumber(&out, s.budget_burn, 9);
     out += ", \"breached\": ";
     out += s.breached ? "true" : "false";
     out += "}";

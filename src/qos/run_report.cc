@@ -1,7 +1,6 @@
 #include "qos/run_report.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <map>
 
@@ -11,22 +10,6 @@ namespace ftms {
 
 namespace {
 
-void AppendInt(std::string* out, int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  out->append(buf);
-}
-
-void AppendDouble(std::string* out, double v) {
-  char buf[64];
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-  }
-  out->append(buf);
-}
-
 // Simulated microseconds as seconds with millisecond precision — the
 // journal's native resolution at cycle granularity.
 void AppendSeconds(std::string* out, int64_t us) {
@@ -34,15 +17,6 @@ void AppendSeconds(std::string* out, int64_t us) {
   std::snprintf(buf, sizeof(buf), "%.3f",
                 static_cast<double>(us) / 1e6);
   out->append(buf);
-}
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
 }
 
 StatusOr<std::string> ReadFileToString(const std::string& path) {
@@ -231,7 +205,7 @@ void AppendCurve(std::string* out, const RunReport::SeriesSummary& s,
     *out += "  - t=";
     AppendSeconds(out, t);
     *out += "s: ";
-    AppendDouble(out, v);
+    AppendJsonNumber(out, v, 6);
     *out += "\n";
   }
   if ((n - 1) % step != 0) {
@@ -239,7 +213,7 @@ void AppendCurve(std::string* out, const RunReport::SeriesSummary& s,
     *out += "  - t=";
     AppendSeconds(out, t);
     *out += "s: ";
-    AppendDouble(out, v);
+    AppendJsonNumber(out, v, 6);
     *out += "\n";
   }
 }
@@ -264,7 +238,7 @@ StatusOr<RunReport> LoadRunReport(const std::string& journal_path,
 std::string RenderRunReportMarkdown(const RunReport& report) {
   std::string out = "# FTMS run report\n\n";
   out += "Journal: `" + report.journal_path + "` — ";
-  AppendInt(&out, report.event_count);
+  AppendJsonInt(&out, report.event_count);
   out += " events, horizon ";
   AppendSeconds(&out, report.horizon_us);
   out += " s simulated.\n";
@@ -276,7 +250,7 @@ std::string RenderRunReportMarkdown(const RunReport& report) {
     out += "| kind | count |\n|---|---|\n";
     for (const auto& [kind, count] : report.kind_counts) {
       out += "| " + kind + " | ";
-      AppendInt(&out, count);
+      AppendJsonInt(&out, count);
       out += " |\n";
     }
   }
@@ -285,15 +259,15 @@ std::string RenderRunReportMarkdown(const RunReport& report) {
   if (report.slo_breaches.empty()) {
     out += "No SLO breaches recorded.\n";
   } else {
-    AppendInt(&out, static_cast<int64_t>(report.slo_breaches.size()));
+    AppendJsonInt(&out, static_cast<int64_t>(report.slo_breaches.size()));
     out += " breach transition(s):\n\n";
     for (const auto& e : report.slo_breaches) {
       out += "- t=";
       AppendSeconds(&out, e.sim_us);
       out += "s cycle=";
-      AppendInt(&out, e.cycle);
+      AppendJsonInt(&out, e.cycle);
       out += " slo_index=";
-      AppendInt(&out, e.value);
+      AppendJsonInt(&out, e.value);
       if (!e.scheme.empty()) out += " (" + e.scheme + ")";
       out += "\n";
     }
@@ -301,9 +275,9 @@ std::string RenderRunReportMarkdown(const RunReport& report) {
   for (const auto& s : report.series) {
     if (s.name.find("slo_burn") == std::string::npos) continue;
     out += "\nBurn rate `" + s.name + "` (max ";
-    AppendDouble(&out, s.v_max);
+    AppendJsonNumber(&out, s.v_max, 6);
     out += ", last ";
-    AppendDouble(&out, s.v_last);
+    AppendJsonNumber(&out, s.v_last, 6);
     out += "):\n";
     AppendCurve(&out, s, 8);
   }
@@ -318,15 +292,16 @@ std::string RenderRunReportMarkdown(const RunReport& report) {
       out += "- t=";
       AppendSeconds(&out, e.sim_us);
       out += "s cycle=";
-      AppendInt(&out, e.cycle);
+      AppendJsonInt(&out, e.cycle);
       out += " tracks_missed=";
-      AppendInt(&out, e.value);
+      AppendJsonInt(&out, e.value);
       if (!e.scheme.empty()) out += " (" + e.scheme + ")";
       out += "\n";
     }
     if (report.hiccups.size() > shown) {
       out += "- ... and ";
-      AppendInt(&out, static_cast<int64_t>(report.hiccups.size() - shown));
+      AppendJsonInt(&out,
+                    static_cast<int64_t>(report.hiccups.size() - shown));
       out += " more\n";
     }
   }
@@ -341,13 +316,13 @@ std::string RenderRunReportMarkdown(const RunReport& report) {
       out += "s " + e.kind;
       if (e.kind == "rebuild_start") {
         out += " tracks_total=";
-        AppendInt(&out, e.value);
+        AppendJsonInt(&out, e.value);
       } else if (e.kind == "rebuild_progress") {
         out += " percent=";
-        AppendInt(&out, e.value);
+        AppendJsonInt(&out, e.value);
       } else if (e.kind == "rebuild_done") {
         out += " cycles=";
-        AppendInt(&out, e.value);
+        AppendJsonInt(&out, e.value);
       }
       out += "\n";
     }
@@ -358,9 +333,9 @@ std::string RenderRunReportMarkdown(const RunReport& report) {
       continue;
     }
     out += "\nProgress curve `" + s.name + "` (";
-    AppendInt(&out, static_cast<int64_t>(s.points));
+    AppendJsonInt(&out, static_cast<int64_t>(s.points));
     out += " points, stride ";
-    AppendInt(&out, s.stride);
+    AppendJsonInt(&out, s.stride);
     out += "):\n";
     AppendCurve(&out, s, 16);
   }
@@ -379,7 +354,7 @@ std::string RenderRunReportMarkdown(const RunReport& report) {
       out += leaf == std::string::npos ? node.path
                                        : node.path.substr(leaf + 3);
       out += " | ";
-      AppendInt(&out, node.count);
+      AppendJsonInt(&out, node.count);
       out += " | ";
       char buf[64];
       std::snprintf(buf, sizeof(buf), "%.3f", node.wall_us / 1000.0);
@@ -405,15 +380,15 @@ std::string RenderRunReportMarkdown(const RunReport& report) {
              "|---|---|---|---|---|\n";
       for (const auto& s : report.series) {
         out += "| " + s.name + " | ";
-        AppendInt(&out, static_cast<int64_t>(s.points));
+        AppendJsonInt(&out, static_cast<int64_t>(s.points));
         out += " | ";
-        AppendInt(&out, s.stride);
+        AppendJsonInt(&out, s.stride);
         out += " | ";
         AppendSeconds(&out, s.t_first);
         out += " – ";
         AppendSeconds(&out, s.t_last);
         out += " | ";
-        AppendDouble(&out, s.v_last);
+        AppendJsonNumber(&out, s.v_last, 6);
         out += " |\n";
       }
     }
@@ -423,13 +398,13 @@ std::string RenderRunReportMarkdown(const RunReport& report) {
     out += "\n## Bench metrics\n\n";
     if (!report.bench_name.empty()) {
       out += "`" + report.bench_name + "` (schema ";
-      AppendInt(&out, report.schema_version);
+      AppendJsonInt(&out, report.schema_version);
       out += ")\n\n";
     }
     out += "| metric | value |\n|---|---|\n";
     for (const auto& [key, value] : report.metrics) {
       out += "| " + key + " | ";
-      AppendDouble(&out, value);
+      AppendJsonNumber(&out, value, 6);
       out += " |\n";
     }
   }
@@ -441,16 +416,16 @@ std::string RenderRunReportJson(const RunReport& report) {
   std::string out = "{\n  \"journal\": ";
   AppendJsonString(&out, report.journal_path);
   out += ",\n  \"event_count\": ";
-  AppendInt(&out, report.event_count);
+  AppendJsonInt(&out, report.event_count);
   out += ",\n  \"horizon_us\": ";
-  AppendInt(&out, report.horizon_us);
+  AppendJsonInt(&out, report.horizon_us);
   out += ",\n  \"events\": {";
   for (size_t i = 0; i < report.kind_counts.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
     out += "    ";
     AppendJsonString(&out, report.kind_counts[i].first);
     out += ": ";
-    AppendInt(&out, report.kind_counts[i].second);
+    AppendJsonInt(&out, report.kind_counts[i].second);
   }
   out += report.kind_counts.empty() ? "}" : "\n  }";
 
@@ -462,13 +437,13 @@ std::string RenderRunReportJson(const RunReport& report) {
         for (size_t i = 0; i < evs.size(); ++i) {
           out += i == 0 ? "\n" : ",\n";
           out += "    {\"sim_us\": ";
-          AppendInt(&out, evs[i].sim_us);
+          AppendJsonInt(&out, evs[i].sim_us);
           out += ", \"cycle\": ";
-          AppendInt(&out, evs[i].cycle);
+          AppendJsonInt(&out, evs[i].cycle);
           out += ", \"kind\": ";
           AppendJsonString(&out, evs[i].kind);
           out += ", \"value\": ";
-          AppendInt(&out, evs[i].value);
+          AppendJsonInt(&out, evs[i].value);
           out += "}";
         }
         out += evs.empty() ? "]" : "\n  ]";
@@ -484,7 +459,7 @@ std::string RenderRunReportJson(const RunReport& report) {
       out += "    ";
       AppendJsonString(&out, report.metrics[i].first);
       out += ": ";
-      AppendDouble(&out, report.metrics[i].second);
+      AppendJsonNumber(&out, report.metrics[i].second, 6);
     }
     out += report.metrics.empty() ? "}" : "\n  }";
     out += ",\n  \"profile\": [";
@@ -493,9 +468,9 @@ std::string RenderRunReportJson(const RunReport& report) {
       out += "    {\"path\": ";
       AppendJsonString(&out, report.profile[i].path);
       out += ", \"count\": ";
-      AppendInt(&out, report.profile[i].count);
+      AppendJsonInt(&out, report.profile[i].count);
       out += ", \"wall_us\": ";
-      AppendDouble(&out, report.profile[i].wall_us);
+      AppendJsonNumber(&out, report.profile[i].wall_us, 6);
       out += "}";
     }
     out += report.profile.empty() ? "]" : "\n  ]";
@@ -509,19 +484,19 @@ std::string RenderRunReportJson(const RunReport& report) {
       out += "    ";
       AppendJsonString(&out, s.name);
       out += ": {\"points\": ";
-      AppendInt(&out, static_cast<int64_t>(s.points));
+      AppendJsonInt(&out, static_cast<int64_t>(s.points));
       out += ", \"stride\": ";
-      AppendInt(&out, s.stride);
+      AppendJsonInt(&out, s.stride);
       out += ", \"t_first\": ";
-      AppendInt(&out, s.t_first);
+      AppendJsonInt(&out, s.t_first);
       out += ", \"t_last\": ";
-      AppendInt(&out, s.t_last);
+      AppendJsonInt(&out, s.t_last);
       out += ", \"v_min\": ";
-      AppendDouble(&out, s.v_min);
+      AppendJsonNumber(&out, s.v_min, 6);
       out += ", \"v_max\": ";
-      AppendDouble(&out, s.v_max);
+      AppendJsonNumber(&out, s.v_max, 6);
       out += ", \"v_last\": ";
-      AppendDouble(&out, s.v_last);
+      AppendJsonNumber(&out, s.v_last, 6);
       out += "}";
     }
     out += report.series.empty() ? "}" : "\n  }";

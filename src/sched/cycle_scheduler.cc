@@ -271,16 +271,19 @@ void CycleScheduler::RunCycle() {
   FTMS_PROF_SCOPE("sched/cycle");
   if (instr_ == nullptr) {
     StepCycle();
-    return;
+  } else {
+    const int64_t cycle_start_us = SimTimeMicros();
+    const auto wall_start = std::chrono::steady_clock::now();
+    StepCycle();
+    const double wall_us =
+        std::chrono::duration<double, std::micro>(
+            std::chrono::steady_clock::now() - wall_start)
+            .count();
+    SampleCycleInstruments(cycle_start_us, wall_us);
   }
-  const int64_t cycle_start_us = SimTimeMicros();
-  const auto wall_start = std::chrono::steady_clock::now();
-  StepCycle();
-  const double wall_us =
-      std::chrono::duration<double, std::micro>(
-          std::chrono::steady_clock::now() - wall_start)
-          .count();
-  SampleCycleInstruments(cycle_start_us, wall_us);
+  // Pull-model series (registry cells added to the recorder) sample once
+  // the instruments hold this cycle, so they line up with the pushes.
+  if (ts_ != nullptr) ts_->Sample(SimTimeMicros());
 }
 
 void CycleScheduler::StepCycle() {
@@ -385,9 +388,6 @@ void CycleScheduler::SampleTimeSeries() {
               static_cast<double>(m.hiccups - ts_last_.hiccups));
   ts_last_ = m;
   pool_.SampleTimeSeries(t);
-  // Pull-model registry series (if any were registered on this recorder)
-  // sample at the same point.
-  ts_->Sample(t);
 }
 
 void CycleScheduler::RunCycles(int n) {

@@ -183,7 +183,7 @@ class CycleScheduler {
 
   // Resolved observability sinks: config's pointer, else the globally
   // enabled instance, else null (= instrumentation off). RebuildManager
-  // and TraceRecorder attach their own series through these.
+  // attaches its own series through these.
   MetricsRegistry* metrics_registry() const;
   Tracer* tracer() const;
   // Tracer track this scheduler's spans render on; -1 when tracing is off.

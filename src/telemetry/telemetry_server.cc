@@ -7,12 +7,12 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
 
 #include "qos/event_journal.h"
+#include "util/json.h"
 #include "util/metrics.h"
 #include "util/profiler.h"
 #include "util/timeseries.h"
@@ -20,41 +20,6 @@
 namespace ftms {
 
 namespace {
-
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendDouble(std::string* out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  out->append(buf);
-}
 
 // The /vars document: run state first, then the flat registry block —
 // one self-contained JSON object per scrape for dashboards and `ftms top`.
@@ -72,14 +37,14 @@ std::string RenderVarsJson(const TelemetrySnapshot& snap,
   out += snap.rebuild_active ? "true" : "false";
   out += ", \"disk\": " + std::to_string(snap.rebuild_disk);
   out += ", \"progress\": ";
-  AppendDouble(&out, snap.rebuild_progress);
+  AppendJsonNumber(&out, snap.rebuild_progress, 6);
   out += "},\n  \"clusters\": [";
   for (size_t i = 0; i < snap.clusters.size(); ++i) {
     const auto& c = snap.clusters[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"cluster\": " + std::to_string(c.cluster);
     out += ", \"util\": ";
-    AppendDouble(&out, c.utilization);
+    AppendJsonNumber(&out, c.utilization, 6);
     out += ", \"failed\": " + std::to_string(c.failed_disks);
     out += std::string(", \"rebuilding\": ") +
            (c.rebuilding ? "true" : "false") + "}";
@@ -91,7 +56,7 @@ std::string RenderVarsJson(const TelemetrySnapshot& snap,
     out += "    ";
     AppendJsonString(&out, snap.slo_burn[i].first);
     out += ": ";
-    AppendDouble(&out, snap.slo_burn[i].second);
+    AppendJsonNumber(&out, snap.slo_burn[i].second, 6);
   }
   out += snap.slo_burn.empty() ? "}" : "\n  }";
   out += ",\n  \"qos\": {\"active_breaches\": " +

@@ -1,6 +1,9 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace ftms {
@@ -232,6 +235,68 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
     if (k == key) return &v;
   }
   return nullptr;
+}
+
+void AppendJsonString(std::string* out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out->push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out->append("\\\"");
+        break;
+      case '\\':
+        out->append("\\\\");
+        break;
+      case '\n':
+        out->append("\\n");
+        break;
+      case '\t':
+        out->append("\\t");
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out->append("\\u00");
+          out->push_back(kHex[c >> 4]);
+          out->push_back(kHex[c & 0xF]);
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
+void AppendJsonInt(std::string* out, int64_t v) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
+// std::to_chars with an explicit precision prints the same bytes as
+// printf's "%.0f" / "%.<digits>g" (NaN and infinities included), without
+// the format-string parse and locale lookup on every number.
+void AppendJsonNumber(std::string* out, double v, int digits) {
+  char buf[64];
+  const bool integral =
+      std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15;
+  const std::to_chars_result r =
+      integral ? std::to_chars(buf, buf + sizeof(buf), v,
+                               std::chars_format::fixed, 0)
+               : std::to_chars(buf, buf + sizeof(buf), v,
+                               std::chars_format::general, digits);
+  out->append(buf, r.ptr);
+}
+
+Status WriteTextFile(const std::string& path, std::string_view text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return Status::Unavailable("cannot open " + path + " for writing");
+  }
+  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
+  if (std::fclose(f) != 0 || written != text.size()) {
+    return Status::Unavailable("short write to " + path);
+  }
+  return Status::Ok();
 }
 
 }  // namespace ftms

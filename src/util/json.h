@@ -63,6 +63,25 @@ class JsonValue {
   friend class JsonParser;
 };
 
+// The one output writer every exporter shares (registry, trace, journal,
+// ledger, time series, profiler, run report, telemetry).
+
+// Appends `s` as a quoted JSON string: `"` `\` `\n` `\t` get their short
+// escapes, every other byte below 0x20 becomes \u00XX, all other bytes
+// (UTF-8 included) pass through.
+void AppendJsonString(std::string* out, std::string_view s);
+
+// Appends `v` in decimal, as printf's %lld would.
+void AppendJsonInt(std::string* out, int64_t v);
+
+// Appends `v` with no decimals when it is integral and |v| < 1e15, and
+// with `digits` significant digits ("%.<digits>g") otherwise.
+void AppendJsonNumber(std::string* out, double v, int digits);
+
+// Writes `text` to `path`, replacing the file; Unavailable when the file
+// cannot be opened or the write comes up short.
+Status WriteTextFile(const std::string& path, std::string_view text);
+
 }  // namespace ftms
 
 #endif  // FTMS_UTIL_JSON_H_

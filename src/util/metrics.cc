@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
+
+#include "util/json.h"
 
 namespace ftms {
 
@@ -37,18 +36,6 @@ const char* KindName(MetricKind kind) {
   return "untyped";
 }
 
-// Compact numeric formatting shared by both exporters (integers render
-// without an exponent; doubles keep round-trip-enough precision).
-void AppendNumber(std::string* out, double v) {
-  char buf[64];
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-  }
-  out->append(buf);
-}
-
 // Splices `suffix` into a sample name before its label block:
 // ("h{d=\"1\"}", "_sum") -> "h_sum{d=\"1\"}".
 std::string WithSuffix(const std::string& name, const char* suffix) {
@@ -76,7 +63,7 @@ std::string WithLabel(const std::string& name, const char* key,
 
 std::string FormatEdge(double v) {
   std::string s;
-  AppendNumber(&s, v);
+  AppendJsonNumber(&s, v, 9);
   return s;
 }
 
@@ -168,27 +155,8 @@ Counter* MetricsRegistry::GetCounter(const std::string& name,
     it->second.help = help;
     it->second.counter = std::make_unique<Counter>();
   }
-  if (it->second.kind != MetricKind::kCounter ||
-      it->second.counter == nullptr) {
-    return nullptr;
-  }
+  if (it->second.kind != MetricKind::kCounter) return nullptr;
   return it->second.counter.get();
-}
-
-ShardedCounter* MetricsRegistry::GetShardedCounter(const std::string& name,
-                                                   std::string_view help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = metrics_.try_emplace(name);
-  if (inserted) {
-    it->second.kind = MetricKind::kCounter;
-    it->second.help = help;
-    it->second.sharded = std::make_unique<ShardedCounter>();
-  }
-  if (it->second.kind != MetricKind::kCounter ||
-      it->second.sharded == nullptr) {
-    return nullptr;
-  }
-  return it->second.sharded.get();
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name,
@@ -226,7 +194,7 @@ const Counter* MetricsRegistry::FindCounter(const std::string& name) const {
   if (it == metrics_.end() || it->second.kind != MetricKind::kCounter) {
     return nullptr;
   }
-  return it->second.counter.get();  // null for sharded counters
+  return it->second.counter.get();
 }
 
 const Gauge* MetricsRegistry::FindGauge(const std::string& name) const {
@@ -283,13 +251,14 @@ std::string MetricsRegistry::PrometheusText() const {
       case MetricKind::kCounter:
         out += name;
         out += ' ';
-        AppendNumber(&out, static_cast<double>(metric.CounterValue()));
+        AppendJsonNumber(&out, static_cast<double>(metric.counter->value()),
+                         9);
         out += '\n';
         break;
       case MetricKind::kGauge:
         out += name;
         out += ' ';
-        AppendNumber(&out, metric.gauge->value());
+        AppendJsonNumber(&out, metric.gauge->value(), 9);
         out += '\n';
         break;
       case MetricKind::kHistogram: {
@@ -300,20 +269,20 @@ std::string MetricsRegistry::PrometheusText() const {
           out += WithLabel(WithSuffix(name, "_bucket"), "le",
                            FormatEdge(h.bucket_upper(i)));
           out += ' ';
-          AppendNumber(&out, static_cast<double>(cum));
+          AppendJsonNumber(&out, static_cast<double>(cum), 9);
           out += '\n';
         }
         out += WithLabel(WithSuffix(name, "_bucket"), "le", "+Inf");
         out += ' ';
-        AppendNumber(&out, static_cast<double>(h.count()));
+        AppendJsonNumber(&out, static_cast<double>(h.count()), 9);
         out += '\n';
         out += WithSuffix(name, "_sum");
         out += ' ';
-        AppendNumber(&out, h.sum());
+        AppendJsonNumber(&out, h.sum(), 9);
         out += '\n';
         out += WithSuffix(name, "_count");
         out += ' ';
-        AppendNumber(&out, static_cast<double>(h.count()));
+        AppendJsonNumber(&out, static_cast<double>(h.count()), 9);
         out += '\n';
         for (const auto& [suffix, q] :
              {std::pair<const char*, double>{"_p50", 0.5},
@@ -334,7 +303,7 @@ std::string MetricsRegistry::PrometheusText() const {
     for (const auto& [sample, value] : samples) {
       out += sample;
       out += ' ';
-      AppendNumber(&out, value);
+      AppendJsonNumber(&out, value, 9);
       out += '\n';
     }
   }
@@ -351,20 +320,15 @@ std::string MetricsRegistry::JsonObject(const std::string& indent,
     out += first ? "\n" : ",\n";
     first = false;
     out += indent;
-    out += '"';
-    // Series names carry Prometheus label syntax ({k="v"}); the quotes
-    // and any backslashes must be escaped to keep the JSON well-formed.
-    for (const char c : key) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    out += "\": ";
-    AppendNumber(&out, value);
+    // Series names carry Prometheus label syntax ({k="v"}).
+    AppendJsonString(&out, key);
+    out += ": ";
+    AppendJsonNumber(&out, value, 9);
   };
   for (const auto& [name, metric] : metrics_) {
     switch (metric.kind) {
       case MetricKind::kCounter:
-        emit(name, static_cast<double>(metric.CounterValue()));
+        emit(name, static_cast<double>(metric.counter->value()));
         break;
       case MetricKind::kGauge:
         emit(name, metric.gauge->value());
@@ -385,17 +349,7 @@ std::string MetricsRegistry::JsonObject(const std::string& indent,
 }
 
 Status MetricsRegistry::WritePrometheusFile(const std::string& path) const {
-  const std::string text = PrometheusText();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Unavailable("cannot open " + path + " for writing");
-  }
-  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (written != text.size()) {
-    return Status::Unavailable("short write to " + path);
-  }
-  return Status::Ok();
+  return WriteTextFile(path, PrometheusText());
 }
 
 }  // namespace ftms

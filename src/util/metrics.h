@@ -50,30 +50,6 @@ class Counter {
   std::atomic<int64_t> v_{0};
 };
 
-// Sharded counter for sites hot enough that even an uncontended atomic
-// add per event is too much: each shard owns a cache line, value() folds
-// the cells. Addition is commutative, so the fold is deterministic.
-class ShardedCounter {
- public:
-  static constexpr int kCells = 16;
-
-  void Add(int shard, int64_t n = 1) {
-    cells_[static_cast<size_t>(shard) % kCells].v.fetch_add(
-        n, std::memory_order_relaxed);
-  }
-  int64_t value() const {
-    int64_t sum = 0;
-    for (const Cell& c : cells_) sum += c.v.load(std::memory_order_relaxed);
-    return sum;
-  }
-
- private:
-  struct alignas(64) Cell {
-    std::atomic<int64_t> v{0};
-  };
-  Cell cells_[kCells];
-};
-
 // Last-written-wins scalar. Written from serial points only (cycle end,
 // fold points); readers may race benignly with relaxed loads.
 class Gauge {
@@ -155,8 +131,6 @@ class MetricsRegistry {
   // different kind returns null (and logs nothing — callers treat it as
   // "off").
   Counter* GetCounter(const std::string& name, std::string_view help = "");
-  ShardedCounter* GetShardedCounter(const std::string& name,
-                                    std::string_view help = "");
   Gauge* GetGauge(const std::string& name, std::string_view help = "");
   HistogramCell* GetHistogram(const std::string& name, double lo, double hi,
                               int num_buckets, std::string_view help = "");
@@ -166,7 +140,7 @@ class MetricsRegistry {
   const Gauge* FindGauge(const std::string& name) const;
   const HistogramCell* FindHistogram(const std::string& name) const;
 
-  // Number of registered metrics (sharded counters count once).
+  // Number of registered metrics.
   size_t size() const;
 
   // Prometheus text exposition (one # HELP / # TYPE pair per family,
@@ -188,13 +162,8 @@ class MetricsRegistry {
     MetricKind kind;
     std::string help;
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<ShardedCounter> sharded;
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<HistogramCell> histogram;
-
-    int64_t CounterValue() const {
-      return sharded != nullptr ? sharded->value() : counter->value();
-    }
   };
 
   // Ordered by full sample name, which clusters a family's samples

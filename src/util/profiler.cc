@@ -1,11 +1,12 @@
 #include "util/profiler.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+
+#include "util/json.h"
 
 namespace ftms {
 
@@ -89,24 +90,11 @@ void MergeMerged(Profiler::MergedNode& dst,
   }
 }
 
-void AppendNumber(std::string* out, double v) {
-  char buf[64];
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-  }
-  out->append(buf);
-}
-
 void AppendNodeJson(std::string* out, const Profiler::MergedNode& node) {
-  *out += "{\"name\": \"";
-  for (const char c : node.name) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  *out += "\", \"count\": ";
-  AppendNumber(out, static_cast<double>(node.count));
+  *out += "{\"name\": ";
+  AppendJsonString(out, node.name);
+  *out += ", \"count\": ";
+  AppendJsonNumber(out, static_cast<double>(node.count), 6);
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.3f",
                 static_cast<double>(node.total_ns) / 1000.0);
@@ -208,17 +196,7 @@ std::string Profiler::SnapshotJson() {
 }
 
 Status Profiler::WriteJson(const std::string& path) {
-  const std::string json = SnapshotJson() + "\n";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Unavailable("cannot open " + path + " for writing");
-  }
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) {
-    return Status::Unavailable("short write to " + path);
-  }
-  return Status::Ok();
+  return WriteTextFile(path, SnapshotJson() + "\n");
 }
 
 void Profiler::Reset() {

@@ -1,11 +1,10 @@
 #include "util/timeseries.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include "util/json.h"
 #include "util/metrics.h"
 
 namespace ftms {
@@ -33,38 +32,6 @@ int64_t IntervalFromEnv() {
     if (v > 0) return static_cast<int64_t>(v);
   }
   return 0;
-}
-
-void AppendNumber(std::string* out, double v) {
-  char buf[64];
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-  }
-  out->append(buf);
-}
-
-void AppendJsonKey(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-  out->push_back('"');
-}
-
-Status WriteFile(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Unavailable("cannot open " + path + " for writing");
-  }
-  const size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  std::fclose(f);
-  if (written != text.size()) {
-    return Status::Unavailable("short write to " + path);
-  }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -219,18 +186,18 @@ std::string TimeSeriesRecorder::ToJson() const {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    ";
-    AppendJsonKey(&out, s->name);
+    AppendJsonString(&out, s->name);
     out += ": {\"stride\": ";
-    AppendNumber(&out, static_cast<double>(s->stride));
+    AppendJsonNumber(&out, static_cast<double>(s->stride), 9);
     out += ", \"t\": [";
     for (size_t i = 0; i < s->pts.size(); ++i) {
       if (i > 0) out += ", ";
-      AppendNumber(&out, static_cast<double>(s->pts[i].t_us));
+      AppendJsonNumber(&out, static_cast<double>(s->pts[i].t_us), 9);
     }
     out += "], \"v\": [";
     for (size_t i = 0; i < s->pts.size(); ++i) {
       if (i > 0) out += ", ";
-      AppendNumber(&out, s->pts[i].v);
+      AppendJsonNumber(&out, s->pts[i].v, 9);
     }
     out += "]}";
   }
@@ -251,9 +218,9 @@ std::string TimeSeriesRecorder::ToCsv() const {
     for (const Point& p : s->pts) {
       out += s->name;
       out += ',';
-      AppendNumber(&out, static_cast<double>(p.t_us));
+      AppendJsonNumber(&out, static_cast<double>(p.t_us), 9);
       out += ',';
-      AppendNumber(&out, p.v);
+      AppendJsonNumber(&out, p.v, 9);
       out += '\n';
     }
   }
@@ -284,14 +251,14 @@ std::string TimeSeriesRecorder::SummaryJson(
     out += first ? "\n" : ",\n";
     first = false;
     out += indent + "  ";
-    AppendJsonKey(&out, s->name);
+    AppendJsonString(&out, s->name);
     out += ": {\"points\": " + std::to_string(s->pts.size());
     out += ", \"t_first\": ";
-    AppendNumber(&out, static_cast<double>(s->pts.front().t_us));
+    AppendJsonNumber(&out, static_cast<double>(s->pts.front().t_us), 9);
     out += ", \"t_last\": ";
-    AppendNumber(&out, static_cast<double>(s->pts.back().t_us));
+    AppendJsonNumber(&out, static_cast<double>(s->pts.back().t_us), 9);
     out += ", \"v_last\": ";
-    AppendNumber(&out, s->pts.back().v);
+    AppendJsonNumber(&out, s->pts.back().v, 9);
     out += "}";
   }
   out += first ? "}\n" : "\n" + indent + "}\n";
@@ -300,11 +267,11 @@ std::string TimeSeriesRecorder::SummaryJson(
 }
 
 Status TimeSeriesRecorder::WriteJson(const std::string& path) const {
-  return WriteFile(path, ToJson());
+  return WriteTextFile(path, ToJson());
 }
 
 Status TimeSeriesRecorder::WriteCsv(const std::string& path) const {
-  return WriteFile(path, ToCsv());
+  return WriteTextFile(path, ToCsv());
 }
 
 void TimeSeriesRecorder::Clear() {

@@ -1,11 +1,10 @@
 #include "util/trace_event.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include "util/json.h"
 #include "util/metrics.h"
 
 namespace ftms {
@@ -25,48 +24,6 @@ size_t CapacityFromEnv() {
     if (v > 0) return static_cast<size_t>(v);
   }
   return 65536;
-}
-
-void AppendNumber(std::string* out, double v) {
-  char buf[64];
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-  }
-  out->append(buf);
-}
-
-// The strings we emit (metric/event names, track labels) are plain
-// identifiers, but escape quotes/backslashes/control bytes anyway so the
-// output is well-formed JSON no matter what a caller registers.
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 }  // namespace
@@ -211,11 +168,11 @@ std::string Tracer::ToChromeJson() const {
 
   std::string out = "{\n\"displayTimeUnit\": \"ms\",\n\"otherData\": "
                     "{\"clock\": \"sim_us\", \"overwritten\": ";
-  AppendNumber(&out, static_cast<double>(overwritten));
+  AppendJsonNumber(&out, static_cast<double>(overwritten), 6);
   // "dropped" is the stable name consumers key on; "overwritten" is kept
   // for older tooling (same value: a wrap drops exactly one event).
   out += ", \"dropped\": ";
-  AppendNumber(&out, static_cast<double>(overwritten));
+  AppendJsonNumber(&out, static_cast<double>(overwritten), 6);
   out += "},\n\"traceEvents\": [";
   bool first = true;
   const auto begin_event = [&] {
@@ -226,7 +183,7 @@ std::string Tracer::ToChromeJson() const {
     begin_event();
     out += "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
            "\"tid\": ";
-    AppendNumber(&out, tid);
+    AppendJsonNumber(&out, tid, 6);
     out += ", \"args\": {\"name\": ";
     AppendJsonString(&out, name);
     out += "}}";
@@ -240,27 +197,27 @@ std::string Tracer::ToChromeJson() const {
     out += ", \"ph\": \"";
     out.push_back(e.phase);
     out += "\", \"pid\": 1, \"tid\": ";
-    AppendNumber(&out, e.tid);
+    AppendJsonNumber(&out, e.tid, 6);
     out += ", \"ts\": ";
-    AppendNumber(&out, static_cast<double>(e.ts_us));
+    AppendJsonNumber(&out, static_cast<double>(e.ts_us), 6);
     if (e.phase == 'X') {
       out += ", \"dur\": ";
-      AppendNumber(&out, static_cast<double>(e.dur_us));
+      AppendJsonNumber(&out, static_cast<double>(e.dur_us), 6);
     }
     if (e.phase == 'i') out += ", \"s\": \"t\"";
     out += ", \"args\": {\"wall_us\": ";
-    AppendNumber(&out, static_cast<double>(e.wall_us));
+    AppendJsonNumber(&out, static_cast<double>(e.wall_us), 6);
     if (e.arg1_name != nullptr) {
       out += ", ";
       AppendJsonString(&out, e.arg1_name);
       out += ": ";
-      AppendNumber(&out, e.arg1);
+      AppendJsonNumber(&out, e.arg1, 6);
     }
     if (e.arg2_name != nullptr) {
       out += ", ";
       AppendJsonString(&out, e.arg2_name);
       out += ": ";
-      AppendNumber(&out, e.arg2);
+      AppendJsonNumber(&out, e.arg2, 6);
     }
     out += "}}";
   }
@@ -269,17 +226,7 @@ std::string Tracer::ToChromeJson() const {
 }
 
 Status Tracer::WriteChromeJson(const std::string& path) const {
-  const std::string json = ToChromeJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::Unavailable("cannot open " + path + " for writing");
-  }
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (written != json.size()) {
-    return Status::Unavailable("short write to " + path);
-  }
-  return Status::Ok();
+  return WriteTextFile(path, ToChromeJson());
 }
 
 }  // namespace ftms

@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <string>
-#include <string_view>
 #include <tuple>
 
 #include "qos/event_journal.h"
@@ -16,30 +15,11 @@ namespace {
 
 // The event-engine determinism contract (DESIGN.md §11): the calendar
 // queue and the binary-heap oracle must produce BYTE-IDENTICAL
-// simulations — same event order, same journal, same metrics registry,
-// same scheduler counters — for every scheme, healthy or under failure
-// injection. A simulation driven through the simulator (periodic
+// simulations — same event order, same journal, same metrics registry
+// (its wall-clock lines aside), same scheduler counters — for every
+// scheme, healthy or under failure injection. A simulation driven through the simulator (periodic
 // scheduler cycles + exponential failure/repair events) is replayed once
 // per queue kind and the artifacts compared verbatim.
-
-// Drops the one wall-clock-valued line from a registry dump
-// (ftms_sched_cycle_wall_us_sum measures real elapsed time, not simulated
-// state, so it legitimately differs run to run).
-std::string ScrubWallClock(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size() - 1;
-    const std::string_view line(text.data() + pos, eol - pos + 1);
-    if (line.find("cycle_wall_us_sum") == std::string_view::npos) {
-      out.append(line);
-    }
-    pos = eol + 1;
-  }
-  return out;
-}
 
 struct EngineRun {
   std::string journal;
@@ -108,7 +88,7 @@ EngineRun RunScenario(Scheme scheme, bool with_failures,
 
   EngineRun out;
   out.journal = journal.ToJsonl();
-  out.registry = ScrubWallClock(registry.PrometheusText());
+  out.registry = DeterministicText(registry);
   out.metrics = rig.sched->metrics();
   out.events_processed = sim.events_processed();
   return out;

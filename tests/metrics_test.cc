@@ -59,13 +59,6 @@ TEST(MetricsRegistryTest, GaugeAndHistogram) {
   EXPECT_DOUBLE_EQ(h->bucket_upper(9), 10.0);
 }
 
-TEST(MetricsRegistryTest, ShardedCounterFoldsAllCells) {
-  MetricsRegistry registry;
-  ShardedCounter* c = registry.GetShardedCounter("ftms_sharded_total");
-  for (int shard = 0; shard < 40; ++shard) c->Add(shard, 2);
-  EXPECT_EQ(c->value(), 80);
-}
-
 TEST(MetricsRegistryTest, CounterAddsAreThreadCountInvariant) {
   MetricsRegistry registry;
   Counter* c = registry.GetCounter("ftms_conc_total");

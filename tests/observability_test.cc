@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <map>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,19 +50,6 @@ SchedRig RunFailureRebuildScenario(Scheme scheme, MetricsRegistry* registry,
   EXPECT_EQ(rebuild.rebuilds_completed(), 1);
   for (int i = 0; i < 2; ++i) rig.sched->RunCycle();
   return rig;
-}
-
-// Registry text with timing-dependent series (wall-clock histograms)
-// removed; everything left is the deterministic contract.
-std::string DeterministicText(const MetricsRegistry& registry) {
-  std::istringstream in(registry.PrometheusText());
-  std::string out, line;
-  while (std::getline(in, line)) {
-    if (line.find("wall") != std::string::npos) continue;
-    out += line;
-    out += '\n';
-  }
-  return out;
 }
 
 class ObservabilityTest : public ::testing::TestWithParam<Scheme> {};

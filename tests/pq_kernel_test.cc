@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -77,16 +77,16 @@ TEST(PqKernelTest, EveryRunnableKernelMatchesNaiveReference) {
         for (const PqKernel& kernel : CompiledPqKernels()) {
           if (!kernel.supported()) continue;
           std::vector<uint8_t> p(bytes + offset), q(bytes + offset);
-          std::memcpy(p.data() + offset, seed_p.data(), bytes);
-          std::memcpy(q.data() + offset, seed_q.data(), bytes);
+          std::copy(seed_p.begin(), seed_p.end(), p.begin() + offset);
+          std::copy(seed_q.begin(), seed_q.end(), q.begin() + offset);
           kernel.pq(p.data() + offset, q.data() + offset, srcs.data(),
                     coeffs.data(), nsrc, bytes);
-          ASSERT_EQ(0, std::memcmp(p.data() + offset, want_p.data(),
-                                   bytes))
+          ASSERT_TRUE(std::equal(want_p.begin(), want_p.end(),
+                                 p.begin() + offset))
               << kernel.name << " P diverges at bytes=" << bytes
               << " offset=" << offset << " nsrc=" << nsrc;
-          ASSERT_EQ(0, std::memcmp(q.data() + offset, want_q.data(),
-                                   bytes))
+          ASSERT_TRUE(std::equal(want_q.begin(), want_q.end(),
+                                 q.begin() + offset))
               << kernel.name << " Q diverges at bytes=" << bytes
               << " offset=" << offset << " nsrc=" << nsrc;
         }

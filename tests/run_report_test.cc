@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <string>
 
+#include "util/json.h"
+
 namespace ftms {
 namespace {
 
@@ -171,6 +173,27 @@ TEST(RunReportTest, JsonRenderIsStructured) {
   EXPECT_EQ(json.find("\"metrics\""), std::string::npos);
   EXPECT_EQ(json.find("\"profile\""), std::string::npos);
   EXPECT_EQ(json.find("\"timeseries\""), std::string::npos);
+}
+
+// A kind holding control characters (escaped in the JSONL, as any JSON
+// writer emits them) must come back out escaped: the JSON render parses
+// and keeps the kind byte for byte.
+TEST(RunReportTest, JsonRenderEscapesControlCharactersInKinds) {
+  const std::string path = WriteTempFile(
+      "odd_kind.jsonl",
+      R"({"kind":"odd\tkind\n","scheme":"SR","sim_us":5,"cycle":1,)"
+      R"("disk":-1,"cluster":-1,"stream":-1,"value":0})"
+      "\n");
+  const auto report = LoadRunReport(path, "", "");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const StatusOr<JsonValue> parsed =
+      JsonValue::Parse(RenderRunReportJson(*report));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue* events = parsed->Find("events");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->members().size(), 1u);
+  EXPECT_EQ(events->members()[0].first, "odd\tkind\n");
+  EXPECT_EQ(events->members()[0].second.AsInt(), 1);
 }
 
 TEST(RunReportTest, MissingJournalIsAnError) {

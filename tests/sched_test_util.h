@@ -2,11 +2,14 @@
 #define FTMS_TESTS_SCHED_TEST_UTIL_H_
 
 #include <memory>
+#include <sstream>
+#include <string>
 #include <utility>
 
 #include "disk/disk_array.h"
 #include "layout/layout.h"
 #include "sched/cycle_scheduler.h"
+#include "util/metrics.h"
 
 namespace ftms {
 
@@ -91,6 +94,21 @@ inline MediaObject TestObject(int id, int64_t tracks,
   obj.rate_mb_s = rate_mb_s;
   obj.num_tracks = tracks;
   return obj;
+}
+
+// Registry text with every wall-clock-valued line dropped (the
+// cycle_wall_us histogram's buckets, sum and quantile gauges measure real
+// elapsed time); every simulated-state line is kept, so two runs of one
+// simulation must match on what is left byte for byte.
+inline std::string DeterministicText(const MetricsRegistry& registry) {
+  std::istringstream in(registry.PrometheusText());
+  std::string out, line;
+  while (std::getline(in, line)) {
+    if (line.find("wall") != std::string::npos) continue;
+    out += line;
+    out += '\n';
+  }
+  return out;
 }
 
 }  // namespace ftms

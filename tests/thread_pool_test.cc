@@ -20,14 +20,20 @@ TEST(ThreadPoolTest, ClampsToAtLeastOneThread) {
 }
 
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(4);
+  // Declared before the pool so they outlive its workers, and notified
+  // under `mu` so the wake-up cannot slip between the waiter's predicate
+  // check and its sleep.
   std::atomic<int> counter{0};
   std::mutex mu;
   std::condition_variable cv;
+  ThreadPool pool(4);
   constexpr int kTasks = 100;
   for (int i = 0; i < kTasks; ++i) {
     pool.Submit([&] {
-      if (counter.fetch_add(1) + 1 == kTasks) cv.notify_one();
+      if (counter.fetch_add(1) + 1 == kTasks) {
+        std::lock_guard<std::mutex> lock(mu);
+        cv.notify_one();
+      }
     });
   }
   std::unique_lock<std::mutex> lock(mu);

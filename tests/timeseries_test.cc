@@ -157,5 +157,67 @@ TEST(TimeSeriesTest, SchedulerDumpByteIdenticalAcrossRuns) {
   EXPECT_NE(first.find("buffer_in_use"), std::string::npos);
 }
 
+double SumOf(const std::vector<TimeSeriesRecorder::Point>& points) {
+  double sum = 0;
+  for (const TimeSeriesRecorder::Point& p : points) sum += p.v;
+  return sum;
+}
+
+// The scheduler's per-cycle delta series add up to its own counters, and
+// a registry counter added as a pull series reads the cycle that just
+// ended (its last point is the final total, not the one before).
+TEST(TimeSeriesTest, SchedulerSeriesSumToItsCounters) {
+  TimeSeriesRecorder rec(/*capacity=*/256);
+  MetricsRegistry registry;
+  RigOptions options;
+  options.timeseries = &rec;
+  options.metrics = &registry;
+  // IB loses the reads a mid-cycle failure catches: they count as both
+  // degraded reads and hiccups.
+  SchedRig rig = MakeRig(Scheme::kImprovedBandwidth, 5, 8, options);
+  rec.AddCounterSeries(
+      "delivered",
+      registry.FindCounter(LabeledName("ftms_sched_tracks_delivered_total",
+                                       {{"scheme", "IB"}})));
+  // Staggered starts spread the streams over every disk.
+  for (int i = 0; i < 8; ++i) {
+    rig.sched->AddStream(TestObject(i % 2, 64)).value();
+    rig.sched->RunCycle();
+  }
+  rig.sched->OnDiskFailed(1, /*mid_cycle=*/true);
+  rig.sched->RunCycles(12);
+
+  const SchedulerMetrics& m = rig.sched->metrics();
+  ASSERT_GT(m.hiccups, 0);
+  ASSERT_GT(m.failed_reads, 0);
+  const std::string base = "sched." + rig.sched->timeseries_prefix() + ".";
+  const auto hiccups = rec.SeriesPoints(base + "hiccups");
+  ASSERT_EQ(hiccups.size(), 20u);
+  EXPECT_EQ(SumOf(hiccups), static_cast<double>(m.hiccups));
+  EXPECT_EQ(SumOf(rec.SeriesPoints(base + "degraded_reads")),
+            static_cast<double>(m.failed_reads));
+  const auto delivered = rec.SeriesPoints("delivered");
+  ASSERT_EQ(delivered.size(), 20u);
+  EXPECT_EQ(delivered.back().v, static_cast<double>(m.tracks_delivered));
+}
+
+TEST(TimeSeriesTest, DiskFailureShowsInTheNextDegradedReadsPoint) {
+  TimeSeriesRecorder rec(/*capacity=*/16);
+  RigOptions options;
+  options.timeseries = &rec;
+  SchedRig rig = MakeRig(Scheme::kStreamingRaid, 5, 10, options);
+  // One stream per cluster: every cycle reads a group from each cluster.
+  rig.sched->AddStream(TestObject(0, 64)).value();
+  rig.sched->AddStream(TestObject(1, 64)).value();
+  rig.sched->RunCycle();
+  rig.sched->OnDiskFailed(1, /*mid_cycle=*/true);
+  rig.sched->RunCycle();
+  const auto points = rec.SeriesPoints(
+      "sched." + rig.sched->timeseries_prefix() + ".degraded_reads");
+  ASSERT_EQ(points.size(), 2u);
+  EXPECT_EQ(points[0].v, 0.0);
+  EXPECT_GT(points[1].v, 0.0);
+}
+
 }  // namespace
 }  // namespace ftms

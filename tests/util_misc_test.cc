@@ -2,12 +2,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <mutex>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "util/disk_set.h"
+#include "util/json.h"
 #include "util/log.h"
 #include "util/thread_pool.h"
 #include "util/units.h"
@@ -173,6 +180,141 @@ TEST(ParallelForPartitionTest, PartitionIsAFunctionOfRangeNotThreads) {
     expect_lo = hi;
   }
   EXPECT_EQ(expect_lo, 110);
+}
+
+std::string JsonString(std::string_view s) {
+  std::string out;
+  AppendJsonString(&out, s);
+  return out;
+}
+
+std::string JsonNumber(double v, int digits) {
+  std::string out;
+  AppendJsonNumber(&out, v, digits);
+  return out;
+}
+
+std::string JsonInt(int64_t v) {
+  std::string out;
+  AppendJsonInt(&out, v);
+  return out;
+}
+
+TEST(JsonWriterTest, EscapesEverySpecialByte) {
+  EXPECT_EQ(JsonString(""), R"("")");
+  EXPECT_EQ(JsonString("a\"b"), R"("a\"b")");
+  EXPECT_EQ(JsonString("a\\b"), R"("a\\b")");
+  EXPECT_EQ(JsonString("a\nb"), R"("a\nb")");
+  EXPECT_EQ(JsonString("a\tb"), R"("a\tb")");
+  // Every other byte below 0x20 takes the \u00XX form (lower-case hex).
+  for (int c = 0; c < 0x20; ++c) {
+    if (c == '\n' || c == '\t') continue;
+    char want[16];
+    std::snprintf(want, sizeof(want), "\"\\u%04x\"", c);
+    EXPECT_EQ(JsonString(std::string(1, static_cast<char>(c))), want) << c;
+  }
+  // 0x7F and above are not control bytes in JSON.
+  EXPECT_EQ(JsonString("\x7f"), "\"\x7f\"");
+}
+
+TEST(JsonWriterTest, MultiByteUtf8PassesThroughUnchanged) {
+  const std::string s = "caf\xC3\xA9 \xE2\x80\x94 \xF0\x9F\x8E\xAC";
+  EXPECT_EQ(JsonString(s), "\"" + s + "\"");
+}
+
+TEST(JsonWriterTest, StringsRoundTripThroughTheReader) {
+  std::string all(1, '\0');
+  for (int c = 1; c < 0x80; ++c) all.push_back(static_cast<char>(c));
+  all += "\xC3\xA9\xE2\x80\x94";
+  const StatusOr<JsonValue> parsed = JsonValue::Parse(JsonString(all));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_TRUE(parsed->is_string());
+  EXPECT_EQ(parsed->AsString(), all);
+}
+
+TEST(JsonWriterTest, NumberForms) {
+  EXPECT_EQ(JsonNumber(0, 9), "0");
+  EXPECT_EQ(JsonNumber(-0.0, 9), "-0");
+  EXPECT_EQ(JsonNumber(3, 6), "3");
+  // Integral values below 1e15 never take an exponent, at either digits.
+  EXPECT_EQ(JsonNumber(1e6, 6), "1000000");
+  EXPECT_EQ(JsonNumber(-123456789012345, 6), "-123456789012345");
+  EXPECT_EQ(JsonNumber(1e15, 6), "1e+15");
+  EXPECT_EQ(JsonNumber(1e15, 9), "1e+15");
+  EXPECT_EQ(JsonNumber(1.0 / 3, 6), "0.333333");
+  EXPECT_EQ(JsonNumber(1.0 / 3, 9), "0.333333333");
+  EXPECT_EQ(JsonNumber(2.5e-7, 6), "2.5e-07");
+  EXPECT_EQ(JsonNumber(std::numeric_limits<double>::quiet_NaN(), 9), "nan");
+  EXPECT_EQ(JsonNumber(std::numeric_limits<double>::infinity(), 6), "inf");
+  EXPECT_EQ(JsonNumber(-std::numeric_limits<double>::infinity(), 9),
+            "-inf");
+}
+
+TEST(JsonWriterTest, NumbersMatchPrintf) {
+  // The exporters printed through "%.0f" / "%.<digits>g" before sharing
+  // this writer; their bytes must not move.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double values[] = {0.0,
+                           -0.0,
+                           1.0,
+                           -7.0,
+                           0.5,
+                           1.0 / 3,
+                           -2.0 / 3,
+                           123456.5,
+                           999999.5,
+                           1e6 + 0.25,
+                           12345678.9,
+                           1e14 + 1,
+                           1e15 - 1,
+                           1e15,
+                           1e300,
+                           -1e-300,
+                           std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           nan,
+                           -nan};
+  for (const double v : values) {
+    for (const int digits : {6, 9}) {
+      char want[64];
+      if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
+        std::snprintf(want, sizeof(want), "%.0f", v);
+      } else {
+        std::snprintf(want, sizeof(want), "%.*g", digits, v);
+      }
+      EXPECT_EQ(JsonNumber(v, digits), want) << v << " at " << digits;
+    }
+  }
+}
+
+TEST(JsonWriterTest, IntExtremes) {
+  EXPECT_EQ(JsonInt(0), "0");
+  EXPECT_EQ(JsonInt(-42), "-42");
+  EXPECT_EQ(JsonInt(INT64_MAX), "9223372036854775807");
+  EXPECT_EQ(JsonInt(INT64_MIN), "-9223372036854775808");
+}
+
+TEST(JsonWriterTest, WriteTextFileRoundTrips) {
+  const std::string path = ::testing::TempDir() + "/util_misc_test_text.txt";
+  constexpr char kText[] = "line one\nline two\0tail";
+  const std::string text(kText, sizeof(kText) - 1);
+  ASSERT_TRUE(WriteTextFile(path, text).ok());
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::string read(64, '\0');
+  read.resize(std::fread(read.data(), 1, read.size(), f));
+  std::fclose(f);
+  std::remove(path.c_str());
+  EXPECT_EQ(read, text);
+}
+
+TEST(JsonWriterTest, WriteTextFileReportsAnUnwritablePath) {
+  const Status status = WriteTextFile("/nonexistent/dir/x", "text");
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+  EXPECT_NE(status.ToString().find("/nonexistent/dir/x"), std::string::npos);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -64,10 +64,10 @@ TEST(XorKernelTest, EveryRunnableKernelMatchesNaiveReference) {
         for (const XorKernel& kernel : CompiledXorKernels()) {
           if (!kernel.supported()) continue;
           std::vector<uint8_t> dst(bytes + offset);
-          std::memcpy(dst.data() + offset, seed.data(), bytes);
+          std::copy(seed.begin(), seed.end(), dst.begin() + offset);
           kernel.xor_n(dst.data() + offset, srcs.data(), nsrc, bytes);
-          ASSERT_EQ(0, std::memcmp(dst.data() + offset, expected.data(),
-                                   bytes))
+          ASSERT_TRUE(std::equal(expected.begin(), expected.end(),
+                                 dst.begin() + offset))
               << kernel.name << " diverges at bytes=" << bytes
               << " offset=" << offset << " nsrc=" << nsrc;
         }

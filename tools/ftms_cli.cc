@@ -56,6 +56,7 @@
 #include "reliability/markov_sim.h"
 #include "server/server.h"
 #include "telemetry/top.h"
+#include "util/json.h"
 #include "util/metrics.h"
 #include "util/profiler.h"
 #include "util/timeseries.h"
@@ -340,9 +341,9 @@ int CmdQos(int argc, char** argv) {
   const auto& streams = server->scheduler().streams();
 
   if (json) {
-    std::string out = "{\n  \"status_line\": \"";
-    out += server->StatusLine();
-    out += "\",\n  \"ledger\": ";
+    std::string out = "{\n  \"status_line\": ";
+    AppendJsonString(&out, server->StatusLine());
+    out += ",\n  \"ledger\": ";
     out += ledger.DumpJson(streams, "  ");
     out += ",\n  \"conformance\": ";
     out += ConformanceWatchdog::ToJson(findings, "    ");
@@ -354,10 +355,10 @@ int CmdQos(int argc, char** argv) {
     const auto statuses = ledger.Evaluate(streams);
     for (size_t i = 0; i < statuses.size(); ++i) {
       out += i == 0 ? "\n" : ",\n";
-      out += "    \"" + statuses[i].spec.name + "\": ";
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.6g", statuses[i].budget_burn);
-      out += buf;
+      out += "    ";
+      AppendJsonString(&out, statuses[i].spec.name);
+      out += ": ";
+      AppendJsonNumber(&out, statuses[i].budget_burn, 6);
     }
     out += statuses.empty() ? "}" : "\n  }";
     out += ",\n  \"active_breaches\": " +

@@ -9,7 +9,7 @@
 
 #include "bench/bench_report.h"
 #include "bench/bench_util.h"
-#include "parity/xor_kernels.h"
+#include "parity/pq_kernels.h"
 #include "verify/datapath.h"
 
 namespace ftms {
@@ -35,8 +35,8 @@ int main() {
   auto layout = CreateLayout(Scheme::kStreamingRaid, 10, 5).value();
   const int64_t tracks = 6000;  // 1500 groups of 4 data tracks
   bench::Reporter report("degraded_read");
-  std::printf("xor kernel: %s (pin with FTMS_XOR_KERNEL=<name>)\n",
-              ActiveXorKernelName());
+  std::printf("parity kernel: %s (pin with FTMS_PQ_KERNEL=<name>)\n",
+              ActivePqKernelName());
 
   // Raw synthesis: the lower bound every readback path pays.
   {

@@ -1,12 +1,12 @@
 // Parity kernel microbenchmark: per-kernel, per-group-size throughput of
-// the multi-source XOR kernels (parity/xor_kernels.h) on reconstruct-
-// shaped workloads — one ~50 KB destination block folded with C-1
-// surviving sources, exactly what a degraded read or rebuild pass does.
-// The pairwise-scalar rows are the pre-dispatch baseline (C-1 separate
-// dst passes); the multi-source rows make ONE pass over dst. Also
-// cross-checks every runnable kernel against scalar byte for byte (any
-// divergence is a hard failure: XOR is exact, kernels may differ only
-// in speed).
+// the one parity kernel table (parity/pq_kernels.h), first its XOR fold
+// (xor_n) on reconstruct-shaped workloads — one ~50 KB destination block
+// folded with C-1 surviving sources, exactly what a degraded read or
+// rebuild pass does — then its fused P+Q syndromes. The pairwise-scalar
+// rows are the pre-dispatch baseline (C-1 separate dst passes); the
+// multi-source rows make ONE pass over dst. Also cross-checks every
+// runnable kernel against scalar byte for byte (any divergence is a hard
+// failure: XOR and GF(2^8) are exact, kernels may differ only in speed).
 
 #include <algorithm>
 #include <cinttypes>
@@ -19,7 +19,6 @@
 #include "bench/bench_util.h"
 #include "parity/gf256.h"
 #include "parity/pq_kernels.h"
-#include "parity/xor_kernels.h"
 
 namespace ftms {
 namespace {
@@ -61,8 +60,9 @@ int main() {
       "Parity kernels: multi-source XOR throughput by kernel and group "
       "size (50 KB blocks)");
 
-  std::printf("dispatched kernel: %s\n", ActiveXorKernelName());
-  for (const XorKernelMeasurement& m : XorKernelSelectionReport()) {
+  std::printf("dispatched kernel (both folds, picked on P+Q): %s\n",
+              ActivePqKernelName());
+  for (const PqKernelMeasurement& m : PqKernelSelectionReport()) {
     std::printf("  %-8s %-11s %8.1f GB/s%s\n", m.name,
                 m.supported ? "runnable" : "unsupported", m.gb_per_s,
                 m.selected ? "  <- selected" : "");
@@ -70,8 +70,8 @@ int main() {
 
   bench::Reporter report("parity_kernels");
 
-  std::vector<std::vector<uint8_t>> sources(kMaxXorSources);
-  for (int i = 0; i < kMaxXorSources; ++i) {
+  std::vector<std::vector<uint8_t>> sources(kMaxPqSources);
+  for (int i = 0; i < kMaxPqSources; ++i) {
     sources[static_cast<size_t>(i)].resize(kBlockBytes);
     FillBlock(&sources[static_cast<size_t>(i)],
               static_cast<uint64_t>(i) + 1);
@@ -80,7 +80,7 @@ int main() {
   std::vector<uint8_t> reference(kBlockBytes);
   std::vector<const uint8_t*> srcs;
 
-  const XorKernel* scalar = FindXorKernel("scalar").value();
+  const PqKernel* scalar = FindPqKernel("scalar").value();
 
   for (int nsrc : kSourceCounts) {
     bench::Section("group fold, nsrc = " + std::to_string(nsrc) +
@@ -117,7 +117,7 @@ int main() {
     FillBlock(&reference, 99);
     scalar->xor_n(reference.data(), srcs.data(), nsrc, kBlockBytes);
 
-    for (const XorKernel& kernel : CompiledXorKernels()) {
+    for (const PqKernel& kernel : CompiledPqKernels()) {
       if (!kernel.supported()) continue;
       FillBlock(&dst, 99);
       kernel.xor_n(dst.data(), srcs.data(), nsrc, kBlockBytes);
@@ -138,7 +138,7 @@ int main() {
       const double gbps = GigabytesPerSecond(bytes, s);
       std::printf("  %-18s %8.2f GB/s  (1 dst pass)%s\n", kernel.name,
                   gbps,
-                  &kernel == &ActiveXorKernel() ? "  <- dispatched" : "");
+                  &kernel == &ActivePqKernel() ? "  <- dispatched" : "");
       report.Set(std::string(kernel.name) + "_n" + std::to_string(nsrc) +
                      "_gbps",
                  gbps);
@@ -152,12 +152,6 @@ int main() {
   bench::Banner(
       "P+Q syndrome kernels: fused GF(2^8) throughput by kernel and "
       "group size");
-  std::printf("dispatched pq kernel: %s\n", ActivePqKernelName());
-  for (const PqKernelMeasurement& m : PqKernelSelectionReport()) {
-    std::printf("  %-8s %-11s %8.1f GB/s%s\n", m.name,
-                m.supported ? "runnable" : "unsupported", m.gb_per_s,
-                m.selected ? "  <- selected" : "");
-  }
 
   std::vector<uint8_t> p(kBlockBytes);
   std::vector<uint8_t> q(kBlockBytes);
@@ -168,7 +162,6 @@ int main() {
     coeffs[i] = gf256::Exp(i);
   }
 
-  const PqKernel* pq_scalar = FindPqKernel("scalar").value();
   double scalar_gbps[kMaxPqSources + 1] = {0};
 
   for (int nsrc : kSourceCounts) {
@@ -187,9 +180,8 @@ int main() {
       bench::WallTimer timer;
       for (int r = 0; r < kReps; ++r) {
         for (int i = 0; i < nsrc; ++i) {
-          pq_scalar->pq(p.data(), q.data(),
-                        &srcs[static_cast<size_t>(i)],
-                        &coeffs[static_cast<size_t>(i)], 1, kBlockBytes);
+          scalar->pq(p.data(), q.data(), &srcs[static_cast<size_t>(i)],
+                     &coeffs[static_cast<size_t>(i)], 1, kBlockBytes);
         }
       }
       const double s = timer.Seconds();
@@ -206,8 +198,8 @@ int main() {
     // Ground truth from the scalar kernel's fused pass.
     std::fill(p_ref.begin(), p_ref.end(), 0);
     std::fill(q_ref.begin(), q_ref.end(), 0);
-    pq_scalar->pq(p_ref.data(), q_ref.data(), srcs.data(), coeffs, nsrc,
-                  kBlockBytes);
+    scalar->pq(p_ref.data(), q_ref.data(), srcs.data(), coeffs, nsrc,
+               kBlockBytes);
 
     for (const PqKernel& kernel : CompiledPqKernels()) {
       if (!kernel.supported()) continue;
@@ -251,12 +243,7 @@ int main() {
     }
   }
 
-  // The dispatchers' own startup measurements, for the perf trajectory.
-  for (const XorKernelMeasurement& m : XorKernelSelectionReport()) {
-    if (!m.supported) continue;
-    report.Set(std::string("dispatch_") + m.name + "_gbps", m.gb_per_s);
-    if (m.selected) report.Set("dispatch_selected_gbps", m.gb_per_s);
-  }
+  // The dispatcher's own startup measurements, for the perf trajectory.
   for (const PqKernelMeasurement& m : PqKernelSelectionReport()) {
     if (!m.supported) continue;
     report.Set(std::string("pq_dispatch_") + m.name + "_gbps",
@@ -271,8 +258,8 @@ int main() {
       "one pass. GB/s counts memory traffic, so at equal wall time the\n"
       "fused rows already score ~(n+2)/3n of pairwise — any further gap\n"
       "is vectorization. All kernels are byte-identical by construction\n"
-      "(checked above); FTMS_XOR_KERNEL / FTMS_PQ_KERNEL pin the\n"
-      "dispatch. The P+Q rows compute BOTH RAID-6 syndromes per pass;\n"
+      "(checked above); FTMS_PQ_KERNEL pins the dispatch of both\n"
+      "folds. The P+Q rows compute BOTH RAID-6 syndromes per pass;\n"
       "the xN annotations are the vectorization speedup over the fused\n"
       "scalar GF table kernel.\n");
   return 0;

@@ -5,8 +5,8 @@
 #include <cstring>
 
 #include "parity/pq_kernels.h"
-#include "parity/xor_kernels.h"
 #include "qos/event_journal.h"
+#include "qos/run_report.h"
 #include "sim/event_queue.h"
 #include "util/json.h"
 #include "util/metrics.h"
@@ -64,8 +64,6 @@ std::string Reporter::WriteJson() const {
           ",\n";
   json += std::string("    \"timeseries_enabled\": ") +
           (timeseries != nullptr ? "true" : "false") + ",\n";
-  json += std::string("    \"xor_kernel\": \"") + ActiveXorKernelName() +
-          "\",\n";
   json += std::string("    \"pq_kernel\": \"") + ActivePqKernelName() +
           "\",\n";
   json += std::string("    \"event_queue\": \"") +
@@ -106,46 +104,12 @@ std::string Reporter::WriteJson() const {
   }
   std::printf("wrote %s\n", path.c_str());
 
-  if (registry != nullptr) {
-    if (const char* out = std::getenv("FTMS_METRICS_OUT")) {
-      if (out[0] != '\0' && registry->WritePrometheusFile(out).ok()) {
-        std::printf("wrote %s\n", out);
-      }
-    }
-  }
-  if (tracer != nullptr) {
-    if (const char* out = std::getenv("FTMS_TRACE_OUT")) {
-      if (out[0] != '\0' && tracer->WriteChromeJson(out).ok()) {
-        std::printf("wrote %s\n", out);
-      }
-    }
-  }
-  if (journal != nullptr) {
-    if (const char* out = std::getenv("FTMS_QOS_OUT")) {
-      if (out[0] != '\0' && journal->WriteJsonl(out).ok()) {
-        std::printf("wrote %s\n", out);
-      }
-    }
-  }
-  if (prof) {
-    if (const char* out = std::getenv("FTMS_PROF_OUT")) {
-      if (out[0] != '\0' && Profiler::WriteJson(out).ok()) {
-        std::printf("wrote %s\n", out);
-      }
-    }
-  }
-  if (timeseries != nullptr) {
-    if (const char* out = std::getenv("FTMS_TIMESERIES_OUT")) {
-      if (out[0] != '\0' && timeseries->WriteJson(out).ok()) {
-        std::printf("wrote %s\n", out);
-      }
-    }
-    if (const char* out = std::getenv("FTMS_TIMESERIES_CSV")) {
-      if (out[0] != '\0' && timeseries->WriteCsv(out).ok()) {
-        std::printf("wrote %s\n", out);
-      }
-    }
-  }
+  WriteRunDumps({.metrics = registry,
+                 .tracer = tracer,
+                 .journal = journal,
+                 .profile = prof,
+                 .timeseries = timeseries},
+                stdout);
   return path;
 }
 

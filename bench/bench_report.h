@@ -35,10 +35,11 @@ class WallTimer {
 // Schema version 3 adds "qos_enabled" to the env stamp and, when the QoS
 // journal is live (FTMS_QOS=1), a "qos" block of per-kind journal event
 // counts. bench_diff.py refuses to compare across schema versions.
-// Still within v3 (additive key, old readers unaffected), the env stamp
-// also carries "xor_kernel" — the dispatched multi-source XOR kernel
-// (parity/xor_kernels.h), which materially changes every parity-heavy
-// timing and so must travel with the numbers — and "event_queue", the
+// Still within v3 (additive keys, old readers unaffected), the env stamp
+// also carries "pq_kernel" — the dispatched parity kernel
+// (parity/pq_kernels.h), which runs both the XOR and the P+Q fold and so
+// changes every parity-heavy timing (some committed snapshots also carry
+// an "xor_kernel" key, which nothing reads) — and "event_queue", the
 // FTMS_EVENT_QUEUE selection (heap | calendar) driving the discrete-event
 // engine, which changes what simulator-bound timings mean.
 // Schema version 4 adds "prof_enabled" / "timeseries_enabled" to the env

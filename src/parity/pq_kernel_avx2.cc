@@ -36,58 +36,68 @@ inline __m256i MulBytes(__m256i v, const NibblePair& t, __m256i mask) {
                           _mm256_shuffle_epi8(t.hi, hi));
 }
 
-void PqAvx2(uint8_t* p, uint8_t* q, const uint8_t* const* srcs,
-            const uint8_t* coeffs, int nsrc, size_t bytes) {
-  NibblePair tables[kMaxPqSources];
-  for (int s = 0; s < nsrc; ++s) tables[s] = LoadTables(coeffs[s]);
-  const __m256i mask = _mm256_set1_epi8(0x0f);
-  size_t off = 0;
-  // Two 32-byte accumulator pairs hide shuffle latency while the
-  // sources stream; p and q stay in registers for the whole fold.
-  for (; off + 64 <= bytes; off += 64) {
-    __m256i p0 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(p + off));
-    __m256i p1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(p + off + 32));
-    __m256i q0 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(q + off));
-    __m256i q1 = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(q + off + 32));
-    for (int s = 0; s < nsrc; ++s) {
-      const uint8_t* src = srcs[s] + off;
-      const __m256i v0 = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(src));
-      const __m256i v1 = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(src + 32));
-      p0 = _mm256_xor_si256(p0, v0);
-      p1 = _mm256_xor_si256(p1, v1);
-      q0 = _mm256_xor_si256(q0, MulBytes(v0, tables[s], mask));
-      q1 = _mm256_xor_si256(q1, MulBytes(v1, tables[s], mask));
+inline __m256i Load(const uint8_t* at) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(at));
+}
+
+inline void Store(uint8_t* at, __m256i v) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(at), v);
+}
+
+// Folds every source into kLanes 32-byte vectors of P, and of Q when kQ,
+// at `off`: each accumulator is loaded once and stored once.
+template <bool kQ, int kLanes>
+inline void FoldBlock(uint8_t* p, uint8_t* q, const uint8_t* const* srcs,
+                      const NibblePair* tables, int nsrc, size_t off) {
+  [[maybe_unused]] const __m256i mask = _mm256_set1_epi8(0x0f);
+  __m256i vp[kLanes];
+  [[maybe_unused]] __m256i vq[kLanes];
+  for (int l = 0; l < kLanes; ++l) {
+    vp[l] = Load(p + off + 32 * l);
+    if constexpr (kQ) vq[l] = Load(q + off + 32 * l);
+  }
+  for (int s = 0; s < nsrc; ++s) {
+    __m256i v[kLanes];
+    for (int l = 0; l < kLanes; ++l) {
+      v[l] = Load(srcs[s] + off + 32 * l);
+      vp[l] = _mm256_xor_si256(vp[l], v[l]);
     }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + off), p0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + off + 32), p1);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(q + off), q0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(q + off + 32), q1);
+    if constexpr (kQ) {
+      for (int l = 0; l < kLanes; ++l) {
+        vq[l] = _mm256_xor_si256(vq[l], MulBytes(v[l], tables[s], mask));
+      }
+    }
+  }
+  for (int l = 0; l < kLanes; ++l) {
+    Store(p + off + 32 * l, vp[l]);
+    if constexpr (kQ) Store(q + off + 32 * l, vq[l]);
+  }
+}
+
+// The kernel's one fold: P and Q when kQ, else P only (q and coeffs
+// null). Several accumulators hide load and shuffle latency while the
+// sources stream: four for P-only, two pairs for P+Q.
+template <bool kQ>
+void Fold(uint8_t* p, uint8_t* q, const uint8_t* const* srcs,
+          const uint8_t* coeffs, int nsrc, size_t bytes) {
+  constexpr int kLanes = kQ ? 2 : 4;
+  NibblePair tables[kMaxPqSources];
+  if constexpr (kQ) {
+    for (int s = 0; s < nsrc; ++s) tables[s] = LoadTables(coeffs[s]);
+  }
+  size_t off = 0;
+  for (; off + 32 * kLanes <= bytes; off += 32 * kLanes) {
+    FoldBlock<kQ, kLanes>(p, q, srcs, tables, nsrc, off);
   }
   for (; off + 32 <= bytes; off += 32) {
-    __m256i vp = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(p + off));
-    __m256i vq = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(q + off));
-    for (int s = 0; s < nsrc; ++s) {
-      const __m256i v = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(srcs[s] + off));
-      vp = _mm256_xor_si256(vp, v);
-      vq = _mm256_xor_si256(vq, MulBytes(v, tables[s], mask));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + off), vp);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(q + off), vq);
+    FoldBlock<kQ, 1>(p, q, srcs, tables, nsrc, off);
   }
-  if (off < bytes) {
-    const uint8_t* tails[kMaxPqSources];
-    for (int s = 0; s < nsrc; ++s) tails[s] = srcs[s] + off;
-    PqScalarImpl(p + off, q + off, tails, coeffs, nsrc, bytes - off);
-  }
+  FoldScalarTail(p, q, srcs, coeffs, nsrc, off, bytes);
+}
+
+void XorNAvx2(uint8_t* dst, const uint8_t* const* srcs, int nsrc,
+              size_t bytes) {
+  Fold<false>(dst, nullptr, srcs, nullptr, nsrc, bytes);
 }
 
 void MulXorAvx2(uint8_t* dst, const uint8_t* src, uint8_t c,
@@ -96,12 +106,8 @@ void MulXorAvx2(uint8_t* dst, const uint8_t* src, uint8_t c,
   const __m256i mask = _mm256_set1_epi8(0x0f);
   size_t off = 0;
   for (; off + 32 <= bytes; off += 32) {
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(src + off));
-    __m256i d = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(dst + off));
-    d = _mm256_xor_si256(d, MulBytes(v, t, mask));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + off), d);
+    Store(dst + off, _mm256_xor_si256(Load(dst + off),
+                                      MulBytes(Load(src + off), t, mask)));
   }
   if (off < bytes) MulXorScalarImpl(dst + off, src + off, c, bytes - off);
 }
@@ -109,8 +115,8 @@ void MulXorAvx2(uint8_t* dst, const uint8_t* src, uint8_t c,
 }  // namespace
 
 const PqKernel* GetPqKernelAvx2() {
-  static constexpr PqKernel kKernel = {"avx2", Avx2Supported, PqAvx2,
-                                       MulXorAvx2};
+  static constexpr PqKernel kKernel = {"avx2", Avx2Supported, Fold<true>,
+                                       XorNAvx2, MulXorAvx2};
   return &kKernel;
 }
 

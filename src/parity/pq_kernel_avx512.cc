@@ -38,28 +38,60 @@ inline __m512i MulBytes(__m512i v, const NibblePair& t, __m512i mask) {
                           _mm512_shuffle_epi8(t.hi, hi));
 }
 
-void PqAvx512(uint8_t* p, uint8_t* q, const uint8_t* const* srcs,
-              const uint8_t* coeffs, int nsrc, size_t bytes) {
-  NibblePair tables[kMaxPqSources];
-  for (int s = 0; s < nsrc; ++s) tables[s] = LoadTables(coeffs[s]);
-  const __m512i mask = _mm512_set1_epi8(0x0f);
-  size_t off = 0;
-  for (; off + 64 <= bytes; off += 64) {
-    __m512i vp = _mm512_loadu_si512(p + off);
-    __m512i vq = _mm512_loadu_si512(q + off);
-    for (int s = 0; s < nsrc; ++s) {
-      const __m512i v = _mm512_loadu_si512(srcs[s] + off);
-      vp = _mm512_xor_si512(vp, v);
-      vq = _mm512_xor_si512(vq, MulBytes(v, tables[s], mask));
+// Folds every source into kLanes 64-byte vectors of P, and of Q when kQ,
+// at `off`: each accumulator is loaded once and stored once.
+template <bool kQ, int kLanes>
+inline void FoldBlock(uint8_t* p, uint8_t* q, const uint8_t* const* srcs,
+                      const NibblePair* tables, int nsrc, size_t off) {
+  [[maybe_unused]] const __m512i mask = _mm512_set1_epi8(0x0f);
+  __m512i vp[kLanes];
+  [[maybe_unused]] __m512i vq[kLanes];
+  for (int l = 0; l < kLanes; ++l) {
+    vp[l] = _mm512_loadu_si512(p + off + 64 * l);
+    if constexpr (kQ) vq[l] = _mm512_loadu_si512(q + off + 64 * l);
+  }
+  for (int s = 0; s < nsrc; ++s) {
+    __m512i v[kLanes];
+    for (int l = 0; l < kLanes; ++l) {
+      v[l] = _mm512_loadu_si512(srcs[s] + off + 64 * l);
+      vp[l] = _mm512_xor_si512(vp[l], v[l]);
     }
-    _mm512_storeu_si512(p + off, vp);
-    _mm512_storeu_si512(q + off, vq);
+    if constexpr (kQ) {
+      for (int l = 0; l < kLanes; ++l) {
+        vq[l] = _mm512_xor_si512(vq[l], MulBytes(v[l], tables[s], mask));
+      }
+    }
   }
-  if (off < bytes) {
-    const uint8_t* tails[kMaxPqSources];
-    for (int s = 0; s < nsrc; ++s) tails[s] = srcs[s] + off;
-    PqScalarImpl(p + off, q + off, tails, coeffs, nsrc, bytes - off);
+  for (int l = 0; l < kLanes; ++l) {
+    _mm512_storeu_si512(p + off + 64 * l, vp[l]);
+    if constexpr (kQ) _mm512_storeu_si512(q + off + 64 * l, vq[l]);
   }
+}
+
+// The kernel's one fold: P and Q when kQ, else P only (q and coeffs
+// null). P-only keeps four vectors in flight to hide load latency; P+Q
+// keeps one, whose shuffles already fill the pipeline.
+template <bool kQ>
+void Fold(uint8_t* p, uint8_t* q, const uint8_t* const* srcs,
+          const uint8_t* coeffs, int nsrc, size_t bytes) {
+  constexpr int kLanes = kQ ? 1 : 4;
+  NibblePair tables[kMaxPqSources];
+  if constexpr (kQ) {
+    for (int s = 0; s < nsrc; ++s) tables[s] = LoadTables(coeffs[s]);
+  }
+  size_t off = 0;
+  for (; off + 64 * kLanes <= bytes; off += 64 * kLanes) {
+    FoldBlock<kQ, kLanes>(p, q, srcs, tables, nsrc, off);
+  }
+  for (; off + 64 <= bytes; off += 64) {
+    FoldBlock<kQ, 1>(p, q, srcs, tables, nsrc, off);
+  }
+  FoldScalarTail(p, q, srcs, coeffs, nsrc, off, bytes);
+}
+
+void XorNAvx512(uint8_t* dst, const uint8_t* const* srcs, int nsrc,
+                size_t bytes) {
+  Fold<false>(dst, nullptr, srcs, nullptr, nsrc, bytes);
 }
 
 void MulXorAvx512(uint8_t* dst, const uint8_t* src, uint8_t c,
@@ -79,7 +111,8 @@ void MulXorAvx512(uint8_t* dst, const uint8_t* src, uint8_t c,
 }  // namespace
 
 const PqKernel* GetPqKernelAvx512() {
-  static constexpr PqKernel kKernel = {"avx512", Avx512Supported, PqAvx512,
+  static constexpr PqKernel kKernel = {"avx512", Avx512Supported,
+                                       Fold<true>, XorNAvx512,
                                        MulXorAvx512};
   return &kKernel;
 }

@@ -29,6 +29,32 @@ void PqScalarImpl(uint8_t* p, uint8_t* q, const uint8_t* const* srcs,
   }
 }
 
+void XorNScalarImpl(uint8_t* dst, const uint8_t* const* srcs, int nsrc,
+                    size_t bytes) {
+  size_t off = 0;
+  // Word-at-a-time over the destination, folding every source before the
+  // store: one pass over dst regardless of group size. memcpy loads keep
+  // this UB-free on unaligned spans; compilers lower them to plain
+  // (auto-vectorizable) loads.
+  for (; off + 8 <= bytes; off += 8) {
+    uint64_t d;
+    __builtin_memcpy(&d, dst + off, 8);
+    for (int s = 0; s < nsrc; ++s) {
+      uint64_t v;
+      __builtin_memcpy(&v, srcs[s] + off, 8);
+      d ^= v;
+    }
+    __builtin_memcpy(dst + off, &d, 8);
+  }
+  for (; off < bytes; ++off) {
+    uint8_t d = dst[off];
+    for (int s = 0; s < nsrc; ++s) {
+      d = static_cast<uint8_t>(d ^ srcs[s][off]);
+    }
+    dst[off] = d;
+  }
+}
+
 void MulXorScalarImpl(uint8_t* dst, const uint8_t* src, uint8_t c,
                       size_t bytes) {
   const uint8_t* row = gf256::MulRow(c);
@@ -37,9 +63,23 @@ void MulXorScalarImpl(uint8_t* dst, const uint8_t* src, uint8_t c,
   }
 }
 
+void FoldScalarTail(uint8_t* p, uint8_t* q, const uint8_t* const* srcs,
+                    const uint8_t* coeffs, int nsrc, size_t off,
+                    size_t bytes) {
+  if (off >= bytes) return;
+  const uint8_t* tails[kMaxPqSources];
+  for (int s = 0; s < nsrc; ++s) tails[s] = srcs[s] + off;
+  if (q == nullptr) {
+    XorNScalarImpl(p + off, tails, nsrc, bytes - off);
+  } else {
+    PqScalarImpl(p + off, q + off, tails, coeffs, nsrc, bytes - off);
+  }
+}
+
 const PqKernel* GetPqKernelScalar() {
   static constexpr PqKernel kKernel = {"scalar", AlwaysSupported,
-                                       PqScalarImpl, MulXorScalarImpl};
+                                       PqScalarImpl, XorNScalarImpl,
+                                       MulXorScalarImpl};
   return &kKernel;
 }
 

@@ -34,31 +34,68 @@ inline __m128i MulBytes(__m128i v, const NibblePair& t, __m128i mask) {
                        _mm_shuffle_epi8(t.hi, hi));
 }
 
-void PqSsse3(uint8_t* p, uint8_t* q, const uint8_t* const* srcs,
-             const uint8_t* coeffs, int nsrc, size_t bytes) {
-  NibblePair tables[kMaxPqSources];
-  for (int s = 0; s < nsrc; ++s) tables[s] = LoadTables(coeffs[s]);
-  const __m128i mask = _mm_set1_epi8(0x0f);
-  size_t off = 0;
-  for (; off + 16 <= bytes; off += 16) {
-    __m128i vp = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(p + off));
-    __m128i vq = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(q + off));
-    for (int s = 0; s < nsrc; ++s) {
-      const __m128i v = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(srcs[s] + off));
-      vp = _mm_xor_si128(vp, v);
-      vq = _mm_xor_si128(vq, MulBytes(v, tables[s], mask));
+inline __m128i Load(const uint8_t* at) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(at));
+}
+
+inline void Store(uint8_t* at, __m128i v) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(at), v);
+}
+
+// Folds every source into kLanes 16-byte vectors of P, and of Q when kQ,
+// at `off`: each accumulator is loaded once and stored once.
+template <bool kQ, int kLanes>
+inline void FoldBlock(uint8_t* p, uint8_t* q, const uint8_t* const* srcs,
+                      const NibblePair* tables, int nsrc, size_t off) {
+  [[maybe_unused]] const __m128i mask = _mm_set1_epi8(0x0f);
+  __m128i vp[kLanes];
+  [[maybe_unused]] __m128i vq[kLanes];
+  for (int l = 0; l < kLanes; ++l) {
+    vp[l] = Load(p + off + 16 * l);
+    if constexpr (kQ) vq[l] = Load(q + off + 16 * l);
+  }
+  for (int s = 0; s < nsrc; ++s) {
+    __m128i v[kLanes];
+    for (int l = 0; l < kLanes; ++l) {
+      v[l] = Load(srcs[s] + off + 16 * l);
+      vp[l] = _mm_xor_si128(vp[l], v[l]);
     }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(p + off), vp);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(q + off), vq);
+    if constexpr (kQ) {
+      for (int l = 0; l < kLanes; ++l) {
+        vq[l] = _mm_xor_si128(vq[l], MulBytes(v[l], tables[s], mask));
+      }
+    }
   }
-  if (off < bytes) {
-    const uint8_t* tails[kMaxPqSources];
-    for (int s = 0; s < nsrc; ++s) tails[s] = srcs[s] + off;
-    PqScalarImpl(p + off, q + off, tails, coeffs, nsrc, bytes - off);
+  for (int l = 0; l < kLanes; ++l) {
+    Store(p + off + 16 * l, vp[l]);
+    if constexpr (kQ) Store(q + off + 16 * l, vq[l]);
   }
+}
+
+// The kernel's one fold: P and Q when kQ, else P only (q and coeffs
+// null). P-only keeps four vectors in flight to hide load latency; P+Q
+// keeps one, whose shuffles already fill the pipeline.
+template <bool kQ>
+void Fold(uint8_t* p, uint8_t* q, const uint8_t* const* srcs,
+          const uint8_t* coeffs, int nsrc, size_t bytes) {
+  constexpr int kLanes = kQ ? 1 : 4;
+  NibblePair tables[kMaxPqSources];
+  if constexpr (kQ) {
+    for (int s = 0; s < nsrc; ++s) tables[s] = LoadTables(coeffs[s]);
+  }
+  size_t off = 0;
+  for (; off + 16 * kLanes <= bytes; off += 16 * kLanes) {
+    FoldBlock<kQ, kLanes>(p, q, srcs, tables, nsrc, off);
+  }
+  for (; off + 16 <= bytes; off += 16) {
+    FoldBlock<kQ, 1>(p, q, srcs, tables, nsrc, off);
+  }
+  FoldScalarTail(p, q, srcs, coeffs, nsrc, off, bytes);
+}
+
+void XorNSsse3(uint8_t* dst, const uint8_t* const* srcs, int nsrc,
+               size_t bytes) {
+  Fold<false>(dst, nullptr, srcs, nullptr, nsrc, bytes);
 }
 
 void MulXorSsse3(uint8_t* dst, const uint8_t* src, uint8_t c,
@@ -67,12 +104,8 @@ void MulXorSsse3(uint8_t* dst, const uint8_t* src, uint8_t c,
   const __m128i mask = _mm_set1_epi8(0x0f);
   size_t off = 0;
   for (; off + 16 <= bytes; off += 16) {
-    const __m128i v = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(src + off));
-    __m128i d = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(dst + off));
-    d = _mm_xor_si128(d, MulBytes(v, t, mask));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + off), d);
+    Store(dst + off,
+          _mm_xor_si128(Load(dst + off), MulBytes(Load(src + off), t, mask)));
   }
   if (off < bytes) MulXorScalarImpl(dst + off, src + off, c, bytes - off);
 }
@@ -80,8 +113,8 @@ void MulXorSsse3(uint8_t* dst, const uint8_t* src, uint8_t c,
 }  // namespace
 
 const PqKernel* GetPqKernelSsse3() {
-  static constexpr PqKernel kKernel = {"ssse3", Ssse3Supported, PqSsse3,
-                                       MulXorSsse3};
+  static constexpr PqKernel kKernel = {"ssse3", Ssse3Supported, Fold<true>,
+                                       XorNSsse3, MulXorSsse3};
   return &kKernel;
 }
 

@@ -8,6 +8,7 @@
 
 #include "parity/gf256.h"
 #include "parity/pq_kernels_internal.h"
+#include "parity/xor_kernels.h"
 #include "util/log.h"
 #include "util/metrics.h"
 #include "util/profiler.h"
@@ -18,7 +19,8 @@ namespace {
 // Selection micro-benchmark shape: a syndrome-sized fold (5 sources,
 // 32 KB — comfortably L1/L2 resident so it measures the kernel, not the
 // memory system of whatever else is running). Best-of-kPasses guards
-// against scheduler noise, same as the XOR dispatcher.
+// against scheduler noise, the same trick Linux's calibrate_xor_blocks
+// uses. The P+Q fold's speed picks the kernel for the XOR fold as well.
 constexpr size_t kBenchBytes = 32 * 1024;
 constexpr int kBenchSources = 5;
 constexpr int kBenchReps = 24;
@@ -208,6 +210,18 @@ void PqAccumulate(uint8_t* p, uint8_t* q, const uint8_t* const* srcs,
   if (nsrc > 0) kernel.pq(p, q, srcs, coeffs, nsrc, bytes);
 }
 
+void XorIntoN(uint8_t* dst, const uint8_t* const* srcs, int nsrc,
+              size_t bytes) {
+  FTMS_PROF_SCOPE("parity/xor");
+  const PqKernel& kernel = ActivePqKernel();
+  while (nsrc > kMaxXorSources) {
+    kernel.xor_n(dst, srcs, kMaxXorSources, bytes);
+    srcs += kMaxXorSources;
+    nsrc -= kMaxXorSources;
+  }
+  if (nsrc > 0) kernel.xor_n(dst, srcs, nsrc, bytes);
+}
+
 void GfMulXorInto(uint8_t* dst, const uint8_t* src, uint8_t c,
                   size_t bytes) {
   ActivePqKernel().mul_xor(dst, src, c, bytes);
@@ -243,11 +257,6 @@ StatusOr<const PqKernel*> ParsePqKernelSpec(std::string_view spec) {
 
 void PinPqKernel(const PqKernel* kernel) {
   g_pinned.store(kernel, std::memory_order_release);
-}
-
-void ExportPqKernelMetrics(MetricsRegistry* registry) {
-  if (registry == nullptr) return;
-  ExportSelection(GetSelection(), registry);
 }
 
 }  // namespace ftms

@@ -10,31 +10,30 @@
 
 namespace ftms {
 
-class MetricsRegistry;
-
-// Vectorized GF(2^8) P+Q syndrome kernels with runtime dispatch.
-//
-// The dual-parity (RAID-6) schemes need, per group write and per
-// two-erasure reconstruct,
+// Vectorized parity kernels with runtime dispatch: one kernel table for
+// the XOR fold of every degraded read, rebuild, scrub and verify, and the
+// GF(2^8) P+Q fold of the dual-parity (RAID-6) schemes,
 //   P ^= D0 ^ D1 ^ ... ^ D(k-1)
 //   Q ^= c0*D0 ^ c1*D1 ^ ... ^ c(k-1)*D(k-1)     (c_i in GF(2^8))
-// A PqKernel computes BOTH syndromes in ONE fused pass over the
+// A kernel's pq computes BOTH syndromes in ONE fused pass over the
 // sources, so each data byte is loaded exactly once and P/Q stay in
-// registers. Byte-at-a-time log/exp lookups run at a few hundred MB/s;
-// the SIMD kernels (pshufb nibble tables, GFNI affine) run at memory
-// bandwidth.
+// registers; its xor_n is the P half of that loop (XorIntoN in
+// parity/xor_kernels.h). Byte-at-a-time log/exp lookups run at a few
+// hundred MB/s; the SIMD kernels (pshufb nibble tables, GFNI affine)
+// run at memory bandwidth.
 //
-// Dispatch mirrors parity/xor_kernels.h: the dispatcher
-// micro-benchmarks every kernel the binary was compiled with AND the
-// CPU can run, once on first use, and picks the fastest;
-// FTMS_PQ_KERNEL=<name> pins the choice instead (FTMS_PQ_KERNEL=scalar
-// is how CI proves all kernels agree byte for byte).
+// Like Linux's xor_blocks, the dispatcher micro-benchmarks every kernel
+// the binary was compiled with AND the CPU can run, once on first use,
+// and picks the fastest; FTMS_PQ_KERNEL=<name> pins the choice instead
+// (FTMS_PQ_KERNEL=scalar is how CI proves all kernels agree byte for
+// byte). The one choice serves both folds.
 //
-// Determinism: GF(2^8) arithmetic is exact, so every kernel produces
-// byte-identical output — selection affects speed only, never results.
+// Determinism: XOR and GF(2^8) arithmetic are exact, so every kernel
+// produces byte-identical output — selection affects speed only, never
+// results.
 
-// Kernels fold at most this many sources per call; PqGenerateN()
-// batches larger groups.
+// Kernels fold at most this many sources per call; PqGenerateN(),
+// PqAccumulate() and XorIntoN() batch larger groups.
 inline constexpr int kMaxPqSources = 8;
 
 struct PqKernel {
@@ -53,6 +52,10 @@ struct PqKernel {
   // sources may not overlap p or q, and p may not overlap q.
   void (*pq)(uint8_t* p, uint8_t* q, const uint8_t* const* srcs,
              const uint8_t* coeffs, int nsrc, size_t bytes);
+  // dst[i] ^= srcs[0][i] ^ ... ^ srcs[nsrc-1][i]: the P half of pq(),
+  // same requirements, with no Q work at all.
+  void (*xor_n)(uint8_t* dst, const uint8_t* const* srcs, int nsrc,
+                size_t bytes);
   // dst[i] ^= c * src[i] in GF(2^8) — the scaling primitive of
   // two-erasure reconstruction. src may not overlap dst.
   void (*mul_xor)(uint8_t* dst, const uint8_t* src, uint8_t c,
@@ -65,9 +68,11 @@ std::span<const PqKernel> CompiledPqKernels();
 
 // The dispatched kernel: the FTMS_PQ_KERNEL pin if set and valid,
 // otherwise the micro-benchmark winner. Selection runs once on first
-// use and is thread-safe. A valid pin skips the micro-benchmark unless
-// the global metrics registry is enabled (its kernel gauges report the
-// measurements).
+// use and is thread-safe, and publishes the measurements to the global
+// metrics registry when it is enabled:
+//   ftms_parity_pq_kernel_gb_per_s{kernel="..."}  measured throughput
+//   ftms_parity_pq_kernel_active{kernel="..."}    1 for the dispatched
+// A valid pin skips the micro-benchmark unless that registry is enabled.
 const PqKernel& ActivePqKernel();
 const char* ActivePqKernelName();
 
@@ -117,13 +122,6 @@ StatusOr<const PqKernel*> ParsePqKernelSpec(std::string_view spec);
 // dispatcher's choice). Not for production use — the metrics exported
 // at selection time keep describing the dispatcher's pick.
 void PinPqKernel(const PqKernel* kernel);
-
-// Publishes the selection as gauges in `registry` (no-op when null):
-//   ftms_parity_pq_kernel_gb_per_s{kernel="..."}  measured throughput
-//   ftms_parity_pq_kernel_active{kernel="..."}    1 for the dispatched
-// Called automatically against the global registry (when enabled) at
-// selection time; benches with private registries call it directly.
-void ExportPqKernelMetrics(MetricsRegistry* registry);
 
 }  // namespace ftms
 

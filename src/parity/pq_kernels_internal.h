@@ -19,12 +19,21 @@ const PqKernel* GetPqKernelAvx512();
 const PqKernel* GetPqKernelGfni();
 const PqKernel* GetPqKernelNeon();
 
-// The scalar table implementations, exposed so SIMD kernels can
-// delegate their sub-vector tails to one shared implementation.
+// The scalar kernel's entries, exposed so SIMD kernels can delegate
+// their sub-vector tails to one shared implementation.
 void PqScalarImpl(uint8_t* p, uint8_t* q, const uint8_t* const* srcs,
                   const uint8_t* coeffs, int nsrc, size_t bytes);
+void XorNScalarImpl(uint8_t* dst, const uint8_t* const* srcs, int nsrc,
+                    size_t bytes);
 void MulXorScalarImpl(uint8_t* dst, const uint8_t* src, uint8_t c,
                       size_t bytes);
+
+// Folds bytes [off, bytes) of every source with the scalar kernel: into
+// p only when q is null (the P-only fold, coeffs unused), else into p
+// and q. The tail of every SIMD fold.
+void FoldScalarTail(uint8_t* p, uint8_t* q, const uint8_t* const* srcs,
+                    const uint8_t* coeffs, int nsrc, size_t off,
+                    size_t bytes);
 
 }  // namespace ftms::internal
 

@@ -1,10 +1,17 @@
 #include "qos/run_report.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 
+#include "qos/event_journal.h"
 #include "util/json.h"
+#include "util/metrics.h"
+#include "util/profiler.h"
+#include "util/timeseries.h"
+#include "util/trace_event.h"
 
 namespace ftms {
 
@@ -34,6 +41,34 @@ StatusOr<std::string> ReadFileToString(const std::string& path) {
   return data;
 }
 
+// Reads the integer `v` (nothing to do when null) into *out. A number
+// AsInt cannot represent is malformed input; the error names `where` and
+// `field`.
+Status ReadInt(const JsonValue* v, const std::string& where,
+               std::string_view field, int64_t* out) {
+  if (v == nullptr) return Status::Ok();
+  if (v->is_number() && !v->fits_int64()) {
+    return Status::InvalidArgument(where + ": \"" + std::string(field) +
+                                   "\" is outside the int64 range");
+  }
+  *out = v->AsInt();
+  return Status::Ok();
+}
+
+// Reads the number `v` (nothing to do when null) into *out. A literal
+// past the double range reads as infinite, which no renderer can write
+// back as JSON; it is malformed input too.
+Status ReadNumber(const JsonValue* v, const std::string& where,
+                  std::string_view field, double* out) {
+  if (v == nullptr) return Status::Ok();
+  if (v->is_number() && !std::isfinite(v->AsNumber())) {
+    return Status::InvalidArgument(where + ": \"" + std::string(field) +
+                                   "\" is outside the double range");
+  }
+  *out = v->AsNumber();
+  return Status::Ok();
+}
+
 Status LoadJournal(const std::string& path, RunReport* report) {
   StatusOr<std::string> text = ReadFileToString(path);
   if (!text.ok()) return text.status();
@@ -47,25 +82,26 @@ Status LoadJournal(const std::string& path, RunReport* report) {
     pos = end + 1;
     ++line_no;
     if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
+    const std::string where = path + ":" + std::to_string(line_no);
     StatusOr<JsonValue> value = JsonValue::Parse(line);
     if (!value.ok()) {
-      return Status::InvalidArgument(
-          path + ":" + std::to_string(line_no) + ": " +
-          std::string(value.status().message()));
+      return Status::InvalidArgument(where + ": " +
+                                     std::string(value.status().message()));
     }
     const JsonValue* kind = value->Find("kind");
     if (kind == nullptr || !kind->is_string()) {
       return Status::InvalidArgument(
-          path + ":" + std::to_string(line_no) +
-          ": journal event without a \"kind\" string");
+          where + ": journal event without a \"kind\" string");
+    }
+    RunReport::TimelineEvent event;
+    for (const auto& [field, out] : {std::pair{"sim_us", &event.sim_us},
+                                     std::pair{"cycle", &event.cycle},
+                                     std::pair{"value", &event.value}}) {
+      FTMS_RETURN_IF_ERROR(ReadInt(value->Find(field), where, field, out));
     }
     ++report->event_count;
     ++counts[kind->AsString()];
-    RunReport::TimelineEvent event;
     event.kind = kind->AsString();
-    if (const JsonValue* v = value->Find("sim_us")) event.sim_us = v->AsInt();
-    if (const JsonValue* v = value->Find("cycle")) event.cycle = v->AsInt();
-    if (const JsonValue* v = value->Find("value")) event.value = v->AsInt();
     if (const JsonValue* v = value->Find("scheme")) {
       event.scheme = v->AsString();
     }
@@ -84,25 +120,28 @@ Status LoadJournal(const std::string& path, RunReport* report) {
   return Status::Ok();
 }
 
-void FlattenProfile(const JsonValue& node, const std::string& prefix,
-                    int depth, std::vector<RunReport::ProfileNode>* out) {
+Status FlattenProfile(const std::string& file, const JsonValue& node,
+                      const std::string& prefix, int depth,
+                      std::vector<RunReport::ProfileNode>* out) {
   const JsonValue* name = node.Find("name");
-  if (name == nullptr || !name->is_string()) return;
+  if (name == nullptr || !name->is_string()) return Status::Ok();
   RunReport::ProfileNode flat;
   flat.path = prefix.empty() ? name->AsString()
                              : prefix + " > " + name->AsString();
   flat.depth = depth;
-  if (const JsonValue* v = node.Find("count")) flat.count = v->AsInt();
-  if (const JsonValue* v = node.Find("wall_us")) {
-    flat.wall_us = v->AsNumber();
-  }
+  const std::string where = file + ": profile \"" + flat.path + "\"";
+  FTMS_RETURN_IF_ERROR(ReadInt(node.Find("count"), where, "count",
+                               &flat.count));
+  FTMS_RETURN_IF_ERROR(ReadNumber(node.Find("wall_us"), where, "wall_us",
+                                  &flat.wall_us));
   const std::string path = flat.path;
   out->push_back(std::move(flat));
   if (const JsonValue* children = node.Find("children")) {
     for (const JsonValue& child : children->items()) {
-      FlattenProfile(child, path, depth + 1, out);
+      FTMS_RETURN_IF_ERROR(FlattenProfile(file, child, path, depth + 1, out));
     }
   }
+  return Status::Ok();
 }
 
 Status LoadMetrics(const std::string& path, RunReport* report) {
@@ -125,16 +164,18 @@ Status LoadMetrics(const std::string& path, RunReport* report) {
   if (const JsonValue* bench = value->Find("bench")) {
     report->bench_name = bench->AsString();
   }
-  if (const JsonValue* schema = value->Find("schema_version")) {
-    report->schema_version = schema->AsInt();
-  }
+  FTMS_RETURN_IF_ERROR(ReadInt(value->Find("schema_version"), path,
+                               "schema_version", &report->schema_version));
   for (const auto& [key, v] : metrics->members()) {
-    report->metrics.emplace_back(key, v.AsNumber());
+    double value = 0;
+    FTMS_RETURN_IF_ERROR(ReadNumber(&v, path + ": metrics", key, &value));
+    report->metrics.emplace_back(key, value);
   }
   if (const JsonValue* profile = value->Find("profile")) {
     if (const JsonValue* nodes = profile->Find("nodes")) {
       for (const JsonValue& node : nodes->items()) {
-        FlattenProfile(node, "", 0, &report->profile);
+        FTMS_RETURN_IF_ERROR(
+            FlattenProfile(path, node, "", 0, &report->profile));
       }
     }
   }
@@ -163,16 +204,18 @@ Status LoadTimeSeries(const std::string& path, RunReport* report) {
       return Status::InvalidArgument(path + ": series \"" + name +
                                      "\" has mismatched t/v columns");
     }
+    const std::string where = path + ": series \"" + name + "\"";
     RunReport::SeriesSummary sum;
     sum.name = name;
     sum.points = t->items().size();
-    if (const JsonValue* stride = s.Find("stride")) {
-      sum.stride = stride->AsInt();
-    }
+    FTMS_RETURN_IF_ERROR(ReadInt(s.Find("stride"), where, "stride",
+                                 &sum.stride));
     sum.curve.reserve(sum.points);
     for (size_t i = 0; i < sum.points; ++i) {
-      const int64_t ti = t->items()[i].AsInt();
-      const double vi = v->items()[i].AsNumber();
+      int64_t ti = 0;
+      double vi = 0;
+      FTMS_RETURN_IF_ERROR(ReadInt(&t->items()[i], where, "t", &ti));
+      FTMS_RETURN_IF_ERROR(ReadNumber(&v->items()[i], where, "v", &vi));
       if (i == 0) {
         sum.t_first = ti;
         sum.v_first = vi;
@@ -504,6 +547,43 @@ std::string RenderRunReportJson(const RunReport& report) {
 
   out += "\n}\n";
   return out;
+}
+
+void WriteRunDumps(const RunDumps& dumps, std::FILE* log) {
+  const auto dump = [log](const char* env, auto write) {
+    const char* path = std::getenv(env);
+    if (path != nullptr && path[0] != '\0' && write(path).ok()) {
+      std::fprintf(log, "wrote %s\n", path);
+    }
+  };
+  if (dumps.metrics != nullptr) {
+    dump("FTMS_METRICS_OUT", [&](const char* path) {
+      return dumps.metrics->WritePrometheusFile(path);
+    });
+  }
+  if (dumps.tracer != nullptr) {
+    dump("FTMS_TRACE_OUT", [&](const char* path) {
+      return dumps.tracer->WriteChromeJson(path);
+    });
+  }
+  if (dumps.journal != nullptr) {
+    dump("FTMS_QOS_OUT", [&](const char* path) {
+      return dumps.journal->WriteJsonl(path);
+    });
+  }
+  if (dumps.profile) {
+    Profiler::FoldAtSyncPoint();
+    dump("FTMS_PROF_OUT",
+         [](const char* path) { return Profiler::WriteJson(path); });
+  }
+  if (dumps.timeseries != nullptr) {
+    dump("FTMS_TIMESERIES_OUT", [&](const char* path) {
+      return dumps.timeseries->WriteJson(path);
+    });
+    dump("FTMS_TIMESERIES_CSV", [&](const char* path) {
+      return dumps.timeseries->WriteCsv(path);
+    });
+  }
 }
 
 }  // namespace ftms

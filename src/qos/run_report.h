@@ -2,6 +2,7 @@
 #define FTMS_QOS_RUN_REPORT_H_
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -9,6 +10,11 @@
 #include "util/status.h"
 
 namespace ftms {
+
+class EventJournal;
+class MetricsRegistry;
+class TimeSeriesRecorder;
+class Tracer;
 
 // Unified run report: one recorded run's QoS journal (JSONL), optionally
 // joined with a bench/metrics snapshot (BENCH_*.json, schema >= 2) and a
@@ -84,6 +90,24 @@ StatusOr<RunReport> LoadRunReport(const std::string& journal_path,
 // are deterministic for identical inputs.
 std::string RenderRunReportMarkdown(const RunReport& report);
 std::string RenderRunReportJson(const RunReport& report);
+
+// The sinks a finished run may dump; a null sink (or profile = false) is
+// skipped.
+struct RunDumps {
+  const MetricsRegistry* metrics = nullptr;
+  const Tracer* tracer = nullptr;
+  const EventJournal* journal = nullptr;
+  bool profile = false;  // the global profiler, folded before it is written
+  const TimeSeriesRecorder* timeseries = nullptr;
+};
+
+// Writes each sink to the file its environment variable names, in this
+// order: FTMS_METRICS_OUT (Prometheus text), FTMS_TRACE_OUT (Chrome
+// trace), FTMS_QOS_OUT (journal JSONL), FTMS_PROF_OUT (profile tree),
+// FTMS_TIMESERIES_OUT and FTMS_TIMESERIES_CSV. Prints "wrote <path>" to
+// `log` after each write that succeeds; an unset or empty variable, or a
+// failed write, is skipped without a message.
+void WriteRunDumps(const RunDumps& dumps, std::FILE* log);
 
 }  // namespace ftms
 

@@ -195,12 +195,14 @@ void ImprovedBandwidthScheduler::PlanPrefetchParity() {
 
 void ImprovedBandwidthScheduler::ExecutePlan() {
   // One pass in disk order: each planned read claims its slot, and one
-  // that succeeds lands in its stream's group buffer.
+  // that succeeds lands in its stream's group buffer, which takes one
+  // pool buffer for it.
   for (int disk = 0; disk < disks_->num_disks(); ++disk) {
     for (const PlannedRead& read : plan_[static_cast<size_t>(disk)]) {
       if (TryRead(disk, read.parity) != ReadOutcome::kOk) continue;
       GroupBuffer& buf = state_[static_cast<size_t>(read.stream)];
       ++buf.buffered_tracks;
+      AcquireBuffers(1);
       if (read.parity) {
         buf.parity_ok = true;
       } else {
@@ -209,14 +211,6 @@ void ImprovedBandwidthScheduler::ExecutePlan() {
       }
     }
     plan_[static_cast<size_t>(disk)].clear();
-  }
-  // Account the buffered tracks for this cycle's reads.
-  const int32_t rows = stream_table().size();
-  for (int32_t id = 0; id < rows; ++id) {
-    GroupBuffer& buf = state_[static_cast<size_t>(id)];
-    if (buf.ready && buf.buffered_tracks > 0) {
-      AcquireBuffers(buf.buffered_tracks);
-    }
   }
 }
 

@@ -36,8 +36,14 @@ class JsonValue {
   double AsNumber(double fallback = 0) const {
     return is_number() ? number_ : fallback;
   }
+  // True for a number AsInt can convert: inside the int64 range, so not
+  // NaN or infinite.
+  bool fits_int64() const {
+    return is_number() && number_ >= -0x1p63 && number_ < 0x1p63;
+  }
+  // The number truncated toward zero; `fallback` unless fits_int64().
   int64_t AsInt(int64_t fallback = 0) const {
-    return is_number() ? static_cast<int64_t>(number_) : fallback;
+    return fits_int64() ? static_cast<int64_t>(number_) : fallback;
   }
   const std::string& AsString() const { return string_; }
 

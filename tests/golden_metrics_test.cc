@@ -30,6 +30,9 @@ struct GoldenRow {
   int64_t tracks = 100000;
   // Every n-th stream (from stream 0) at 3x the base rate; 0 = none.
   int fast_every = 0;
+  // Every n-th stream (from stream 0) paused from the failure to the
+  // repair; 0 = none.
+  int pause_every = 0;
 };
 
 SchedulerMetrics Metrics(int64_t cycles, int64_t data_reads,
@@ -100,18 +103,35 @@ std::vector<GoldenRow> SerialScheduleRows() {
   };
 }
 
+// A paused stream holds the group buffer it filled and takes no more, so
+// an IB farm with every tenth stream paused through the failure window
+// keeps the buffer peak of the same farm unpaused.
+std::vector<GoldenRow> PausedStreamRows() {
+  return {
+      {Scheme::kImprovedBandwidth, 5, 96, 960, 0,
+       Metrics(70, 255500, 1748, 32, 0, 253408, 32, 1748, 0, 700, 2), 7680,
+       /*fail=*/true, /*tracks=*/100000, /*fast_every=*/0,
+       /*pause_every=*/10},
+  };
+}
+
 void ExpectRowMatches(const GoldenRow& row) {
   SCOPED_TRACE(std::string(SchemeName(row.scheme)) + " x " +
                std::to_string(row.streams) +
                (row.fail ? " with failure" : " healthy"));
   SchedRig rig = MakeRig(row.scheme, row.c, row.disks);
   const int clusters = rig.layout->num_clusters();
+  std::vector<StreamId> paused;
   for (int i = 0; i < row.streams; ++i) {
     const bool fast = row.fast_every > 0 && i % row.fast_every == 0;
-    rig.sched
-        ->AddStream(TestObject(i % clusters, row.tracks,
-                               fast ? 3 * 0.1875 : 0.1875))
-        .value();
+    const StreamId id =
+        rig.sched
+            ->AddStream(TestObject(i % clusters, row.tracks,
+                                   fast ? 3 * 0.1875 : 0.1875))
+            .value();
+    if (row.pause_every > 0 && i % row.pause_every == 0) {
+      paused.push_back(id);
+    }
     if (row.stagger_every > 0 &&
         i % row.stagger_every == row.stagger_every - 1) {
       rig.sched->RunCycle();
@@ -119,9 +139,11 @@ void ExpectRowMatches(const GoldenRow& row) {
   }
   rig.sched->RunCycles(30);
   if (row.fail) {
+    for (StreamId id : paused) ASSERT_TRUE(rig.sched->PauseStream(id).ok());
     rig.sched->OnDiskFailed(1, /*mid_cycle=*/true);
     rig.sched->RunCycles(30);
     rig.sched->OnDiskRepaired(1);
+    for (StreamId id : paused) ASSERT_TRUE(rig.sched->ResumeStream(id).ok());
   }
   rig.sched->RunCycles(10);
 
@@ -147,6 +169,10 @@ TEST(GoldenMetricsTest, FullFarmRunsMatchPreRewriteMetrics) {
 
 TEST(GoldenMetricsTest, SerialScheduleRowsMatch) {
   for (const GoldenRow& row : SerialScheduleRows()) ExpectRowMatches(row);
+}
+
+TEST(GoldenMetricsTest, PausedStreamRowsMatch) {
+  for (const GoldenRow& row : PausedStreamRows()) ExpectRowMatches(row);
 }
 
 }  // namespace

@@ -158,7 +158,9 @@ TEST(PqKernelTest, SelectionReportCoversEveryCompiledKernel) {
       EXPECT_TRUE(m.supported);
       EXPECT_STREQ(m.name, ActivePqKernelName());
     }
-    if (m.supported) EXPECT_GT(m.gb_per_s, 0.0);
+    if (m.supported) {
+      EXPECT_GT(m.gb_per_s, 0.0);
+    }
   }
   EXPECT_EQ(selected, 1);
 }

@@ -220,6 +220,19 @@ TEST(RunReportTest, JournalEventWithoutKindIsAnError) {
   EXPECT_NE(report.status().ToString().find("kind"), std::string::npos);
 }
 
+TEST(RunReportTest, OutOfRangeIntegerFieldIsAnError) {
+  const std::string path = WriteTempFile(
+      "huge.jsonl",
+      "{\"kind\":\"hiccups\",\"sim_us\":5}\n"
+      "{\"kind\":\"hiccups\",\"sim_us\":1e300,\"value\":1}\n");
+  const auto report = LoadRunReport(path, "", "");
+  ASSERT_FALSE(report.ok());
+  // The error names the line and the field.
+  const std::string error = report.status().ToString();
+  EXPECT_NE(error.find(":2:"), std::string::npos) << error;
+  EXPECT_NE(error.find("sim_us"), std::string::npos) << error;
+}
+
 TEST(RunReportTest, MetricsFileWithoutMetricsBlockIsAnError) {
   const std::string journal = WriteTempFile("j1.jsonl", kDrillJournal);
   const std::string metrics = WriteTempFile("m1.json", "{\"foo\": 1}\n");

@@ -200,6 +200,24 @@ std::string JsonInt(int64_t v) {
   return out;
 }
 
+TEST(JsonReaderTest, AsIntFallsBackOutsideTheInt64Range) {
+  // 9.3e18 is just past INT64_MAX (about 9.22e18); 1e999 parses as inf.
+  const StatusOr<JsonValue> parsed =
+      JsonValue::Parse("[1e300, -1e300, 1e999, 9.3e18, -9.3e18]");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  for (const JsonValue& v : parsed->items()) {
+    ASSERT_TRUE(v.is_number());
+    EXPECT_EQ(v.AsInt(7), 7) << v.AsNumber();
+  }
+  // The range ends are exact: -2^63 converts, 2^63 does not.
+  const StatusOr<JsonValue> edges =
+      JsonValue::Parse("[-9223372036854775808, 9223372036854775808, 2.9]");
+  ASSERT_TRUE(edges.ok()) << edges.status().ToString();
+  EXPECT_EQ(edges->items()[0].AsInt(7), std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(edges->items()[1].AsInt(7), 7);
+  EXPECT_EQ(edges->items()[2].AsInt(7), 2);
+}
+
 TEST(JsonWriterTest, EscapesEverySpecialByte) {
   EXPECT_EQ(JsonString(""), R"("")");
   EXPECT_EQ(JsonString("a\"b"), R"("a\"b")");

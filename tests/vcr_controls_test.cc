@@ -44,6 +44,23 @@ TEST_P(VcrPerScheme, StopReleasesAllBuffers) {
   EXPECT_EQ(rig.sched->metrics().terminated_streams, 2);
 }
 
+TEST_P(VcrPerScheme, PauseHoldsItsBuffersAndStopFreesThem) {
+  // A paused stream keeps the buffers it held and takes no more: ten
+  // paused cycles leave the pool where the pause found it.
+  const Scheme scheme = GetParam();
+  const int disks = scheme == Scheme::kImprovedBandwidth ? 8 : 10;
+  SchedRig rig = MakeRig(scheme, 5, disks);
+  const StreamId id = rig.sched->AddStream(TestObject(0, 400)).value();
+  rig.sched->RunCycles(6);
+  ASSERT_TRUE(rig.sched->PauseStream(id).ok());
+  const int64_t held = rig.sched->buffer_pool().in_use();
+  rig.sched->RunCycles(10);
+  EXPECT_EQ(rig.sched->buffer_pool().in_use(), held) << SchemeName(scheme);
+  ASSERT_TRUE(rig.sched->StopStream(id).ok());
+  rig.sched->RunCycles(2);  // flush the cycle-end releases
+  EXPECT_EQ(rig.sched->buffer_pool().in_use(), 0) << SchemeName(scheme);
+}
+
 TEST_P(VcrPerScheme, StopDuringDegradedModeCleansUp) {
   const Scheme scheme = GetParam();
   const int disks = scheme == Scheme::kImprovedBandwidth ? 8 : 10;

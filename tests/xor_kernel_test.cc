@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <string>
 #include <vector>
 
 #include "util/random.h"
@@ -11,11 +10,12 @@
 namespace ftms {
 namespace {
 
-// The determinism contract of the kernel library: XOR is exact, so EVERY
-// compiled kernel the CPU can run must produce byte-identical output for
-// every size, alignment and source count — dispatch may only change
-// speed. The reference below is computed independently (naive per-byte
-// loop), so a bug shared by all kernels still fails.
+// The XOR fold runs as the P half of each P+Q kernel (its xor_n). XOR is
+// exact, so EVERY compiled kernel the CPU can run must produce
+// byte-identical output for every size, alignment and source count, and
+// that output must equal the P its own pq() writes on the same inputs —
+// dispatch may only change speed. The reference is computed independently
+// (naive per-byte loop), so a bug shared by all kernels still fails.
 std::vector<uint8_t> NaiveXor(const std::vector<uint8_t>& dst,
                               const std::vector<const uint8_t*>& srcs,
                               size_t bytes) {
@@ -26,20 +26,15 @@ std::vector<uint8_t> NaiveXor(const std::vector<uint8_t>& dst,
   return out;
 }
 
-TEST(XorKernelTest, ScalarIsAlwaysCompiledAndRunnable) {
-  ASSERT_FALSE(CompiledXorKernels().empty());
-  EXPECT_STREQ(CompiledXorKernels().front().name, "scalar");
-  EXPECT_TRUE(CompiledXorKernels().front().supported());
-}
-
 TEST(XorKernelTest, EveryRunnableKernelMatchesNaiveReference) {
-  // Sizes chosen to hit every code path: empty, sub-word, word tails,
-  // one-off-vector widths, the unrolled main loop, and a track-sized
-  // block that is not a multiple of any vector width.
-  const size_t kSizes[] = {0, 1, 7, 8, 15, 63, 64, 65, 127, 128, 129,
-                           255, 256, 257, 1024, 4096 + 3, 50 * 1024 + 3};
-  // Offsets into an oversized buffer: kernels promise no alignment
-  // requirements, so deliberately misalign dst and every source.
+  // Sizes hit every code path: empty, sub-word, word tails, one off each
+  // vector width and each P-only unroll width (4 x 16, 32 and 64 B), and
+  // a track-sized block that is not a multiple of any vector width.
+  const size_t kSizes[] = {0, 1, 7, 8, 15, 16, 17, 31, 32, 33, 63, 64, 65,
+                           127, 128, 129, 255, 256, 257, 1024, 4096 + 3,
+                           50 * 1024 + 3};
+  // Kernels promise no alignment requirements: misalign dst and every
+  // source.
   const size_t kOffsets[] = {0, 1, 3};
   Rng rng(0x5EEDu);
   for (size_t bytes : kSizes) {
@@ -61,7 +56,9 @@ TEST(XorKernelTest, EveryRunnableKernelMatchesNaiveReference) {
         }
         const std::vector<uint8_t> expected =
             NaiveXor(seed, srcs, bytes);
-        for (const XorKernel& kernel : CompiledXorKernels()) {
+        // P does not depend on the Q coefficients.
+        const std::vector<uint8_t> coeffs(static_cast<size_t>(nsrc), 1);
+        for (const PqKernel& kernel : CompiledPqKernels()) {
           if (!kernel.supported()) continue;
           std::vector<uint8_t> dst(bytes + offset);
           std::copy(seed.begin(), seed.end(), dst.begin() + offset);
@@ -70,6 +67,14 @@ TEST(XorKernelTest, EveryRunnableKernelMatchesNaiveReference) {
                                  dst.begin() + offset))
               << kernel.name << " diverges at bytes=" << bytes
               << " offset=" << offset << " nsrc=" << nsrc;
+          std::vector<uint8_t> p(bytes + offset), q(bytes + offset);
+          std::copy(seed.begin(), seed.end(), p.begin() + offset);
+          kernel.pq(p.data() + offset, q.data() + offset, srcs.data(),
+                    coeffs.data(), nsrc, bytes);
+          ASSERT_EQ(dst, p) << kernel.name
+                            << " xor_n differs from pq's P at bytes="
+                            << bytes << " offset=" << offset
+                            << " nsrc=" << nsrc;
         }
       }
     }
@@ -97,44 +102,14 @@ TEST(XorKernelTest, XorIntoNBatchesBeyondMaxSources) {
   EXPECT_EQ(dst, expected);
 }
 
-TEST(XorKernelTest, SelectionReportCoversEveryCompiledKernel) {
-  const auto report = XorKernelSelectionReport();
-  ASSERT_EQ(report.size(), CompiledXorKernels().size());
-  int selected = 0;
-  for (const XorKernelMeasurement& m : report) {
-    if (m.selected) {
-      ++selected;
-      EXPECT_TRUE(m.supported);
-      EXPECT_STREQ(m.name, ActiveXorKernelName());
-    }
-    if (m.supported) EXPECT_GT(m.gb_per_s, 0.0);
-  }
-  EXPECT_EQ(selected, 1);
-}
-
-TEST(XorKernelTest, FindXorKernelKnowsScalarAndRejectsUnknown) {
-  ASSERT_TRUE(FindXorKernel("scalar").ok());
-  EXPECT_STREQ(FindXorKernel("scalar").value()->name, "scalar");
-  const auto missing = FindXorKernel("mmx");
-  ASSERT_EQ(missing.status().code(), StatusCode::kInvalidArgument);
-  // The error names the valid choices.
-  EXPECT_NE(missing.status().message().find("scalar"), std::string::npos);
-}
-
-TEST(XorKernelTest, ParseXorKernelSpecAutoAndEmptyMeanDispatch) {
-  EXPECT_EQ(ParseXorKernelSpec("").value(), nullptr);
-  EXPECT_EQ(ParseXorKernelSpec("auto").value(), nullptr);
-  EXPECT_STREQ(ParseXorKernelSpec("scalar").value()->name, "scalar");
-  EXPECT_EQ(ParseXorKernelSpec("bogus").status().code(),
-            StatusCode::kInvalidArgument);
-}
-
 TEST(XorKernelTest, PinOverridesActiveKernel) {
-  const XorKernel* scalar = FindXorKernel("scalar").value();
+  // One table: FTMS_PQ_KERNEL's pin moves the XOR fold too.
+  const PqKernel* scalar = FindPqKernel("scalar").value();
   const char* before = ActiveXorKernelName();
-  PinXorKernel(scalar);
+  PinPqKernel(scalar);
   EXPECT_STREQ(ActiveXorKernelName(), "scalar");
-  PinXorKernel(nullptr);
+  EXPECT_EQ(&ActiveXorKernel(), scalar);
+  PinPqKernel(nullptr);
   EXPECT_STREQ(ActiveXorKernelName(), before);
 }
 

@@ -149,22 +149,21 @@ def main():
         )
         return 2
 
-    # Likewise a kernel pin (env.xor_kernel / env.pq_kernel, from
-    # FTMS_XOR_KERNEL / FTMS_PQ_KERNEL) changes what the parity-bound
+    # Likewise the kernel pin (env.pq_kernel, from FTMS_PQ_KERNEL, which
+    # runs both the XOR and the P+Q fold) changes what the parity-bound
     # numbers mean: a scalar-pinned snapshot is not a baseline for a
-    # dispatched run. Snapshots without the key ran the auto-dispatcher.
-    for env_key, env_var in (("xor_kernel", "FTMS_XOR_KERNEL"),
-                             ("pq_kernel", "FTMS_PQ_KERNEL")):
-        base_kernel = (base_doc.get("env") or {}).get(env_key, "auto")
-        cur_kernel = (cur_doc.get("env") or {}).get(env_key, "auto")
-        if base_kernel != cur_kernel:
-            print(
-                f"bench_diff: {env_key} mismatch ({base_kernel} vs "
-                f"{cur_kernel}); rerun with the same {env_var} on both "
-                f"sides",
-                file=sys.stderr,
-            )
-            return 2
+    # dispatched run. Snapshots without the key ran the auto-dispatcher;
+    # an env.xor_kernel key, which some snapshots carry, is not read.
+    base_kernel = (base_doc.get("env") or {}).get("pq_kernel", "auto")
+    cur_kernel = (cur_doc.get("env") or {}).get("pq_kernel", "auto")
+    if base_kernel != cur_kernel:
+        print(
+            f"bench_diff: pq_kernel mismatch ({base_kernel} vs "
+            f"{cur_kernel}); rerun with the same FTMS_PQ_KERNEL on both "
+            f"sides",
+            file=sys.stderr,
+        )
+        return 2
 
     regressions = []
     print(f"{'metric':<24} {'baseline':>14} {'current':>14} {'delta':>9}")

@@ -399,41 +399,14 @@ int CmdQos(int argc, char** argv) {
     }
     std::fprintf(stderr, "wrote %s\n", journal_out.c_str());
   }
-  if (const char* out = std::getenv("FTMS_QOS_OUT")) {
-    if (out[0] != '\0' && journal.WriteJsonl(out).ok()) {
-      std::fprintf(stderr, "wrote %s\n", out);
-    }
-  }
   // Final snapshot at the last serial point, BEFORE the registry dump:
   // a post-run scrape of /metrics is byte-identical to FTMS_METRICS_OUT.
   server->PublishTelemetry();
-  if (MetricsRegistry* registry = MetricsRegistry::GlobalIfEnabled()) {
-    if (const char* out = std::getenv("FTMS_METRICS_OUT")) {
-      if (out[0] != '\0' && registry->WritePrometheusFile(out).ok()) {
-        std::fprintf(stderr, "wrote %s\n", out);
-      }
-    }
-  }
-  if (TimeSeriesRecorder* ts = TimeSeriesRecorder::GlobalIfEnabled()) {
-    if (const char* out = std::getenv("FTMS_TIMESERIES_OUT")) {
-      if (out[0] != '\0' && ts->WriteJson(out).ok()) {
-        std::fprintf(stderr, "wrote %s\n", out);
-      }
-    }
-    if (const char* out = std::getenv("FTMS_TIMESERIES_CSV")) {
-      if (out[0] != '\0' && ts->WriteCsv(out).ok()) {
-        std::fprintf(stderr, "wrote %s\n", out);
-      }
-    }
-  }
-  if (Profiler::GlobalEnabled()) {
-    Profiler::FoldAtSyncPoint();
-    if (const char* out = std::getenv("FTMS_PROF_OUT")) {
-      if (out[0] != '\0' && Profiler::WriteJson(out).ok()) {
-        std::fprintf(stderr, "wrote %s\n", out);
-      }
-    }
-  }
+  WriteRunDumps({.metrics = MetricsRegistry::GlobalIfEnabled(),
+                 .journal = &journal,
+                 .profile = Profiler::GlobalEnabled(),
+                 .timeseries = TimeSeriesRecorder::GlobalIfEnabled()},
+                stderr);
   // FTMS_TELEMETRY_LINGER_MS keeps the exporter serving the final
   // snapshot after the drill, so scripts can scrape the settled state.
   if (server->telemetry_server() != nullptr) {

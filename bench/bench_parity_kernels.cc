@@ -2,11 +2,13 @@
 // the one parity kernel table (parity/pq_kernels.h), first its XOR fold
 // (xor_n) on reconstruct-shaped workloads — one ~50 KB destination block
 // folded with C-1 surviving sources, exactly what a degraded read or
-// rebuild pass does — then its fused P+Q syndromes. The pairwise-scalar
-// rows are the pre-dispatch baseline (C-1 separate dst passes); the
-// multi-source rows make ONE pass over dst. Also cross-checks every
-// runnable kernel against scalar byte for byte (any divergence is a hard
-// failure: XOR and GF(2^8) are exact, kernels may differ only in speed).
+// rebuild pass does — then its fused P+Q syndromes, then its block
+// synthesis and fused ground-truth check. The pairwise-scalar rows are
+// the pre-dispatch baseline (C-1 separate dst passes); the multi-source
+// rows make ONE pass over dst. Also cross-checks every runnable kernel
+// against scalar byte for byte (any divergence is a hard failure: XOR
+// and GF(2^8) are exact and scalar defines the synthesized bytes, so
+// kernels may differ only in speed).
 
 #include <algorithm>
 #include <cinttypes>
@@ -243,6 +245,80 @@ int main() {
     }
   }
 
+  // ---- Block synthesis: the bytes the datapath stands in for disk reads,
+  // and the ground-truth check against them. synth writes a block;
+  // synth_matches checks one in registers. The synth_then_compare row is
+  // the check the datapath ran before the fused form: scalar synthesis
+  // of an expected block, then memcmp. GB/s counts block bytes written
+  // or checked.
+  bench::Banner("Block synthesis and the fused ground-truth check");
+  constexpr uint64_t kSynthSeed = 0x5eed5eed5eed5eedull;
+  std::vector<uint8_t> expected(kBlockBytes);
+  scalar->synth(reference.data(), kSynthSeed, kBlockBytes);
+  {
+    bench::WallTimer timer;
+    bool same = true;
+    for (int r = 0; r < kReps; ++r) {
+      scalar->synth(expected.data(), kSynthSeed, kBlockBytes);
+      same &= std::memcmp(expected.data(), reference.data(),
+                          kBlockBytes) == 0;
+    }
+    const double gbps = GigabytesPerSecond(
+        static_cast<double>(kReps) * static_cast<double>(kBlockBytes),
+        timer.Seconds());
+    if (!same) {
+      std::printf("ERROR: scalar synthesis is not deterministic\n");
+      return 1;
+    }
+    std::printf("  %-18s %8.2f GB/s  (scalar synth, then memcmp)\n",
+                "synth_then_compare", gbps);
+    report.Set("synth_then_compare_scalar_gbps", gbps);
+  }
+  for (const PqKernel& kernel : CompiledPqKernels()) {
+    if (!kernel.supported()) continue;
+    std::fill(dst.begin(), dst.end(), 0);
+    kernel.synth(dst.data(), kSynthSeed, kBlockBytes);
+    if (std::memcmp(dst.data(), reference.data(), kBlockBytes) != 0) {
+      std::printf("ERROR: kernel %s synthesis diverges from scalar\n",
+                  kernel.name);
+      return 1;
+    }
+    dst[kBlockBytes - 1] ^= 1;
+    if (!kernel.synth_matches(reference.data(), kSynthSeed, kBlockBytes) ||
+        kernel.synth_matches(dst.data(), kSynthSeed, kBlockBytes)) {
+      std::printf("ERROR: kernel %s synth_matches gives a wrong verdict\n",
+                  kernel.name);
+      return 1;
+    }
+    bench::WallTimer synth_timer;
+    for (int r = 0; r < kReps; ++r) {
+      kernel.synth(dst.data(), kSynthSeed, kBlockBytes);
+    }
+    const double synth_s = synth_timer.Seconds();
+    bench::WallTimer check_timer;
+    bool all_match = true;
+    for (int r = 0; r < kReps; ++r) {
+      all_match &=
+          kernel.synth_matches(reference.data(), kSynthSeed, kBlockBytes);
+    }
+    const double check_s = check_timer.Seconds();
+    if (!all_match) {
+      std::printf("ERROR: kernel %s synth_matches rejected exact bytes\n",
+                  kernel.name);
+      return 1;
+    }
+    const double bytes =
+        static_cast<double>(kReps) * static_cast<double>(kBlockBytes);
+    const double synth_gbps = GigabytesPerSecond(bytes, synth_s);
+    const double check_gbps = GigabytesPerSecond(bytes, check_s);
+    std::printf("  %-18s %8.2f GB/s synth  %8.2f GB/s synth_matches%s\n",
+                kernel.name, synth_gbps, check_gbps,
+                &kernel == &ActivePqKernel() ? "  <- dispatched" : "");
+    report.Set("synth_" + std::string(kernel.name) + "_gbps", synth_gbps);
+    report.Set("synth_matches_" + std::string(kernel.name) + "_gbps",
+               check_gbps);
+  }
+
   // The dispatcher's own startup measurements, for the perf trajectory.
   for (const PqKernelMeasurement& m : PqKernelSelectionReport()) {
     if (!m.supported) continue;
@@ -261,6 +337,8 @@ int main() {
       "(checked above); FTMS_PQ_KERNEL pins the dispatch of both\n"
       "folds. The P+Q rows compute BOTH RAID-6 syndromes per pass;\n"
       "the xN annotations are the vectorization speedup over the fused\n"
-      "scalar GF table kernel.\n");
+      "scalar GF table kernel. The synthesis rows write (synth) or check\n"
+      "(synth_matches) one block; synth_then_compare is the check that\n"
+      "writes an expected block first.\n");
   return 0;
 }

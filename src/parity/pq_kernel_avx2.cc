@@ -112,11 +112,89 @@ void MulXorAvx2(uint8_t* dst, const uint8_t* src, uint8_t c,
   if (off < bytes) MulXorScalarImpl(dst + off, src + off, c, bytes - off);
 }
 
+// Block synthesis, four 64-bit words per vector. AVX2 multiplies only
+// 32x32->64 (vpmuludq), so each 64-bit product is built from the 32-bit
+// halves of a and of the constant b:
+//   a*b mod 2^64 = lo(a)*lo(b) + ((hi(a)*lo(b) + lo(a)*hi(b)) << 32).
+struct MulConst {
+  __m256i lo;
+  __m256i hi;
+};
+
+MulConst SplitConst(uint64_t b) {
+  return {_mm256_set1_epi64x(static_cast<long long>(b & 0xffffffffu)),
+          _mm256_set1_epi64x(static_cast<long long>(b >> 32))};
+}
+
+inline __m256i MulLo64(__m256i a, const MulConst& b) {
+  const __m256i cross =
+      _mm256_add_epi64(_mm256_mul_epu32(_mm256_srli_epi64(a, 32), b.lo),
+                       _mm256_mul_epu32(a, b.hi));
+  return _mm256_add_epi64(_mm256_mul_epu32(a, b.lo),
+                          _mm256_slli_epi64(cross, 32));
+}
+
+// SynthMix without its leading add, which the callers fold into the
+// counters.
+inline __m256i Finalize(__m256i x, const MulConst& m1, const MulConst& m2) {
+  x = MulLo64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 30)), m1);
+  x = MulLo64(_mm256_xor_si256(x, _mm256_srli_epi64(x, 27)), m2);
+  return _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
+}
+
+// The kernel's one synthesis loop: writes the word stream to dst, or
+// when kCheck compares src against it. kVecs vectors per step keep
+// independent multiply chains in flight. Returns whether src matched
+// (true when writing).
+template <bool kCheck>
+bool Synth(uint8_t* dst, const uint8_t* src, uint64_t seed, size_t bytes) {
+  constexpr int kVecs = 2;
+  const MulConst m1 = SplitConst(kSynthMul1);
+  const MulConst m2 = SplitConst(kSynthMul2);
+  const __m256i step = _mm256_set1_epi64x(4 * kVecs);
+  __m256i x[kVecs];
+  x[0] = _mm256_add_epi64(
+      _mm256_set1_epi64x(static_cast<long long>(seed + kSynthGamma)),
+      _mm256_setr_epi64x(0, 1, 2, 3));
+  for (int v = 1; v < kVecs; ++v) {
+    x[v] = _mm256_add_epi64(x[v - 1], _mm256_set1_epi64x(4));
+  }
+  [[maybe_unused]] __m256i diff = _mm256_setzero_si256();
+  size_t off = 0;
+  for (; off + 32 * kVecs <= bytes; off += 32 * kVecs) {
+    for (int v = 0; v < kVecs; ++v) {
+      const __m256i w = Finalize(x[v], m1, m2);
+      if constexpr (kCheck) {
+        diff = _mm256_or_si256(diff,
+                               _mm256_xor_si256(w, Load(src + off + 32 * v)));
+      } else {
+        Store(dst + off + 32 * v, w);
+      }
+      x[v] = _mm256_add_epi64(x[v], step);
+    }
+  }
+  if constexpr (kCheck) {
+    return _mm256_testz_si256(diff, diff) &&
+           SynthMatchesScalarImpl(src + off, seed + off / 8, bytes - off);
+  }
+  SynthScalarImpl(dst + off, seed + off / 8, bytes - off);
+  return true;
+}
+
+void SynthAvx2(uint8_t* dst, uint64_t seed, size_t bytes) {
+  Synth<false>(dst, nullptr, seed, bytes);
+}
+
+bool SynthMatchesAvx2(const uint8_t* src, uint64_t seed, size_t bytes) {
+  return Synth<true>(nullptr, src, seed, bytes);
+}
+
 }  // namespace
 
 const PqKernel* GetPqKernelAvx2() {
   static constexpr PqKernel kKernel = {"avx2", Avx2Supported, Fold<true>,
-                                       XorNAvx2, MulXorAvx2};
+                                       XorNAvx2, MulXorAvx2, SynthAvx2,
+                                       SynthMatchesAvx2};
   return &kKernel;
 }
 

@@ -1,7 +1,7 @@
 #include "parity/pq_kernels_internal.h"
 
 #if defined(FTMS_PQ_BUILD_GFNI) && defined(__GFNI__) && \
-    defined(__AVX512F__) && defined(__AVX512BW__)
+    defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512DQ__)
 
 #include <immintrin.h>
 
@@ -14,10 +14,12 @@ namespace {
 // the intrinsic behind AVX-512BW). The instruction's own gf2p8mulb is
 // locked to polynomial 0x11b; the affine form takes our 0x11d multiply
 // as an 8x8 bit matrix, so one instruction does 64 GF multiplies with
-// no table loads at all.
+// no table loads at all. Synthesis runs on vpmullq, as in the AVX-512
+// kernel: AVX-512DQ.
 bool GfniSupported() {
   return __builtin_cpu_supports("gfni") &&
-         __builtin_cpu_supports("avx512bw");
+         __builtin_cpu_supports("avx512bw") &&
+         __builtin_cpu_supports("avx512dq");
 }
 
 // Folds every source into kLanes 64-byte vectors of P, and of Q when kQ,
@@ -93,17 +95,78 @@ void MulXorGfni(uint8_t* dst, const uint8_t* src, uint8_t c,
   if (off < bytes) MulXorScalarImpl(dst + off, src + off, c, bytes - off);
 }
 
+// Block synthesis, eight 64-bit words per vector on vpmullq
+// (AVX-512DQ). SynthMix without its leading add, which the callers fold
+// into the counters. The shifts are the all-lanes maskz form, which
+// compiles to the same vpsrlq: GCC 12's _mm512_srli_epi64 passes
+// _mm512_undefined_epi32() and trips a false -Wmaybe-uninitialized.
+inline __m512i Finalize(__m512i x, __m512i m1, __m512i m2) {
+  x = _mm512_xor_si512(x, _mm512_maskz_srli_epi64(0xff, x, 30));
+  x = _mm512_mullo_epi64(x, m1);
+  x = _mm512_xor_si512(x, _mm512_maskz_srli_epi64(0xff, x, 27));
+  x = _mm512_mullo_epi64(x, m2);
+  return _mm512_xor_si512(x, _mm512_maskz_srli_epi64(0xff, x, 31));
+}
+
+// The kernel's one synthesis loop: writes the word stream to dst, or
+// when kCheck compares src against it. kVecs vectors per step keep
+// independent multiply chains in flight. Returns whether src matched
+// (true when writing).
+template <bool kCheck>
+bool Synth(uint8_t* dst, const uint8_t* src, uint64_t seed, size_t bytes) {
+  constexpr int kVecs = 2;
+  const __m512i m1 = _mm512_set1_epi64(static_cast<long long>(kSynthMul1));
+  const __m512i m2 = _mm512_set1_epi64(static_cast<long long>(kSynthMul2));
+  const __m512i step = _mm512_set1_epi64(8 * kVecs);
+  __m512i x[kVecs];
+  x[0] = _mm512_add_epi64(
+      _mm512_set1_epi64(static_cast<long long>(seed + kSynthGamma)),
+      _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
+  for (int v = 1; v < kVecs; ++v) {
+    x[v] = _mm512_add_epi64(x[v - 1], _mm512_set1_epi64(8));
+  }
+  [[maybe_unused]] __m512i diff = _mm512_setzero_si512();
+  size_t off = 0;
+  for (; off + 64 * kVecs <= bytes; off += 64 * kVecs) {
+    for (int v = 0; v < kVecs; ++v) {
+      const __m512i w = Finalize(x[v], m1, m2);
+      if constexpr (kCheck) {
+        diff = _mm512_or_si512(
+            diff, _mm512_xor_si512(w, _mm512_loadu_si512(src + off + 64 * v)));
+      } else {
+        _mm512_storeu_si512(dst + off + 64 * v, w);
+      }
+      x[v] = _mm512_add_epi64(x[v], step);
+    }
+  }
+  if constexpr (kCheck) {
+    return _mm512_test_epi64_mask(diff, diff) == 0 &&
+           SynthMatchesScalarImpl(src + off, seed + off / 8, bytes - off);
+  }
+  SynthScalarImpl(dst + off, seed + off / 8, bytes - off);
+  return true;
+}
+
+void SynthGfni(uint8_t* dst, uint64_t seed, size_t bytes) {
+  Synth<false>(dst, nullptr, seed, bytes);
+}
+
+bool SynthMatchesGfni(const uint8_t* src, uint64_t seed, size_t bytes) {
+  return Synth<true>(nullptr, src, seed, bytes);
+}
+
 }  // namespace
 
 const PqKernel* GetPqKernelGfni() {
   static constexpr PqKernel kKernel = {"gfni", GfniSupported, Fold<true>,
-                                       XorNGfni, MulXorGfni};
+                                       XorNGfni, MulXorGfni, SynthGfni,
+                                       SynthMatchesGfni};
   return &kKernel;
 }
 
 }  // namespace ftms::internal
 
-#else  // compiled without GFNI + AVX-512 support
+#else  // compiled without GFNI + AVX-512BW/DQ support
 
 namespace ftms::internal {
 const PqKernel* GetPqKernelGfni() { return nullptr; }

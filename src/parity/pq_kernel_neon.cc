@@ -106,8 +106,11 @@ void MulXorNeon(uint8_t* dst, const uint8_t* src, uint8_t c,
 }  // namespace
 
 const PqKernel* GetPqKernelNeon() {
+  // Synthesis stays scalar: NEON has no 64-bit lane multiply.
   static constexpr PqKernel kKernel = {"neon", NeonSupported, Fold<true>,
-                                       XorNNeon, MulXorNeon};
+                                       XorNNeon, MulXorNeon,
+                                       SynthScalarImpl,
+                                       SynthMatchesScalarImpl};
   return &kKernel;
 }
 

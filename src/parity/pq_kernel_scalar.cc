@@ -1,7 +1,18 @@
+#include <cstring>
+
 #include "parity/gf256.h"
 #include "parity/pq_kernels_internal.h"
 
-namespace ftms::internal {
+namespace ftms {
+
+uint64_t SynthMix(uint64_t x) {
+  x += internal::kSynthGamma;
+  x = (x ^ (x >> 30)) * internal::kSynthMul1;
+  x = (x ^ (x >> 27)) * internal::kSynthMul2;
+  return x ^ (x >> 31);
+}
+
+namespace internal {
 namespace {
 
 bool AlwaysSupported() { return true; }
@@ -63,6 +74,35 @@ void MulXorScalarImpl(uint8_t* dst, const uint8_t* src, uint8_t c,
   }
 }
 
+void SynthScalarImpl(uint8_t* dst, uint64_t seed, size_t bytes) {
+  size_t off = 0;
+  for (; off + 8 <= bytes; off += 8) {
+    const uint64_t word = SynthMix(seed++);
+    __builtin_memcpy(dst + off, &word, 8);
+  }
+  if (off < bytes) {
+    const uint64_t word = SynthMix(seed);
+    __builtin_memcpy(dst + off, &word, bytes - off);
+  }
+}
+
+bool SynthMatchesScalarImpl(const uint8_t* src, uint64_t seed,
+                            size_t bytes) {
+  uint64_t diff = 0;
+  size_t off = 0;
+  for (; off + 8 <= bytes; off += 8) {
+    uint64_t v;
+    __builtin_memcpy(&v, src + off, 8);
+    diff |= v ^ SynthMix(seed++);
+  }
+  if (off < bytes) {
+    const uint64_t word = SynthMix(seed);
+    diff |= static_cast<uint64_t>(
+        std::memcmp(src + off, &word, bytes - off) != 0);
+  }
+  return diff == 0;
+}
+
 void FoldScalarTail(uint8_t* p, uint8_t* q, const uint8_t* const* srcs,
                     const uint8_t* coeffs, int nsrc, size_t off,
                     size_t bytes) {
@@ -79,8 +119,10 @@ void FoldScalarTail(uint8_t* p, uint8_t* q, const uint8_t* const* srcs,
 const PqKernel* GetPqKernelScalar() {
   static constexpr PqKernel kKernel = {"scalar", AlwaysSupported,
                                        PqScalarImpl, XorNScalarImpl,
-                                       MulXorScalarImpl};
+                                       MulXorScalarImpl, SynthScalarImpl,
+                                       SynthMatchesScalarImpl};
   return &kKernel;
 }
 
-}  // namespace ftms::internal
+}  // namespace internal
+}  // namespace ftms

@@ -113,8 +113,11 @@ void MulXorSsse3(uint8_t* dst, const uint8_t* src, uint8_t c,
 }  // namespace
 
 const PqKernel* GetPqKernelSsse3() {
+  // Synthesis stays scalar: SSSE3 has no 64-bit multiply.
   static constexpr PqKernel kKernel = {"ssse3", Ssse3Supported, Fold<true>,
-                                       XorNSsse3, MulXorSsse3};
+                                       XorNSsse3, MulXorSsse3,
+                                       SynthScalarImpl,
+                                       SynthMatchesScalarImpl};
   return &kKernel;
 }
 

@@ -20,7 +20,8 @@ namespace {
 // 32 KB — comfortably L1/L2 resident so it measures the kernel, not the
 // memory system of whatever else is running). Best-of-kPasses guards
 // against scheduler noise, the same trick Linux's calibrate_xor_blocks
-// uses. The P+Q fold's speed picks the kernel for the XOR fold as well.
+// uses. The P+Q fold's speed picks the kernel for the XOR fold and
+// for synthesis as well.
 constexpr size_t kBenchBytes = 32 * 1024;
 constexpr int kBenchSources = 5;
 constexpr int kBenchReps = 24;

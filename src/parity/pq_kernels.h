@@ -26,9 +26,14 @@ namespace ftms {
 // the binary was compiled with AND the CPU can run, once on first use,
 // and picks the fastest; FTMS_PQ_KERNEL=<name> pins the choice instead
 // (FTMS_PQ_KERNEL=scalar is how CI proves all kernels agree byte for
-// byte). The one choice serves both folds.
+// byte). The one choice serves every entry of the table.
 //
-// Determinism: XOR and GF(2^8) arithmetic are exact, so every kernel
+// The same table also synthesizes the deterministic block contents the
+// datapath stands in for disk reads (verify/datapath.h), and checks a
+// buffer against them without writing an expected block.
+//
+// Determinism: XOR and GF(2^8) arithmetic are exact, and the scalar
+// kernel's synthesis loop defines the synthesized bytes, so every kernel
 // produces byte-identical output — selection affects speed only, never
 // results.
 
@@ -60,7 +65,19 @@ struct PqKernel {
   // two-erasure reconstruction. src may not overlap dst.
   void (*mul_xor)(uint8_t* dst, const uint8_t* src, uint8_t c,
                   size_t bytes);
+  // Block synthesis: writes word i of dst (8 bytes, native byte order)
+  // as SynthMix(seed + i), the last word cut to the bytes left. No
+  // alignment requirements.
+  void (*synth)(uint8_t* dst, uint64_t seed, size_t bytes);
+  // True when src[0, bytes) equals what synth(dst, seed, bytes) writes,
+  // compared in registers: no expected block is written.
+  bool (*synth_matches)(const uint8_t* src, uint64_t seed, size_t bytes);
 };
+
+// The SplitMix64 finalizer (Steele, Lea and Flood, OOPSLA 2014) behind
+// block synthesis: the one definition of the word function, also used to
+// derive a block's seed.
+uint64_t SynthMix(uint64_t x);
 
 // Every kernel compiled into this binary, scalar first. Entries are
 // stable for the process lifetime.

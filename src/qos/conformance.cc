@@ -279,9 +279,9 @@ std::string ConformanceWatchdog::FormatTable(
     std::string bound = "-";
     if (f.applicable) {
       observed.clear();
-      AppendJsonNumber(&observed, f.observed, 9);
+      AppendTextNumber(&observed, f.observed, 9);
       bound.clear();
-      AppendJsonNumber(&bound, f.bound, 9);
+      AppendTextNumber(&bound, f.bound, 9);
     }
     std::snprintf(line, sizeof(line), "%-30s %-10s %10s %10s  %s\n",
                   f.check.c_str(), status, observed.c_str(), bound.c_str(),

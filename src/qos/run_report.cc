@@ -248,7 +248,7 @@ void AppendCurve(std::string* out, const RunReport::SeriesSummary& s,
     *out += "  - t=";
     AppendSeconds(out, t);
     *out += "s: ";
-    AppendJsonNumber(out, v, 6);
+    AppendTextNumber(out, v, 6);
     *out += "\n";
   }
   if ((n - 1) % step != 0) {
@@ -256,7 +256,7 @@ void AppendCurve(std::string* out, const RunReport::SeriesSummary& s,
     *out += "  - t=";
     AppendSeconds(out, t);
     *out += "s: ";
-    AppendJsonNumber(out, v, 6);
+    AppendTextNumber(out, v, 6);
     *out += "\n";
   }
 }
@@ -318,9 +318,9 @@ std::string RenderRunReportMarkdown(const RunReport& report) {
   for (const auto& s : report.series) {
     if (s.name.find("slo_burn") == std::string::npos) continue;
     out += "\nBurn rate `" + s.name + "` (max ";
-    AppendJsonNumber(&out, s.v_max, 6);
+    AppendTextNumber(&out, s.v_max, 6);
     out += ", last ";
-    AppendJsonNumber(&out, s.v_last, 6);
+    AppendTextNumber(&out, s.v_last, 6);
     out += "):\n";
     AppendCurve(&out, s, 8);
   }
@@ -431,7 +431,7 @@ std::string RenderRunReportMarkdown(const RunReport& report) {
         out += " – ";
         AppendSeconds(&out, s.t_last);
         out += " | ";
-        AppendJsonNumber(&out, s.v_last, 6);
+        AppendTextNumber(&out, s.v_last, 6);
         out += " |\n";
       }
     }
@@ -447,7 +447,7 @@ std::string RenderRunReportMarkdown(const RunReport& report) {
     out += "| metric | value |\n|---|---|\n";
     for (const auto& [key, value] : report.metrics) {
       out += "| " + key + " | ";
-      AppendJsonNumber(&out, value, 6);
+      AppendTextNumber(&out, value, 6);
       out += " |\n";
     }
   }

@@ -107,9 +107,9 @@ void StreamingRaidScheduler::DeliverGroup(Stream* stream, GroupBuffer* buf,
     }
     if (config_.verify_data && on_time) {
       ++metrics_.verified_tracks;
-      SynthesizeDataBlockInto(stream->object().id, buf->first_track + i,
-                              kVerifyBlockBytes, &scratch->block);
-      if (buf->data[static_cast<size_t>(i)] != scratch->block) {
+      if (!DataBlockMatches(stream->object().id, buf->first_track + i,
+                            kVerifyBlockBytes,
+                            buf->data[static_cast<size_t>(i)])) {
         ++metrics_.verify_failures;
       }
     }

@@ -62,7 +62,6 @@ class StreamingRaidScheduler : public CycleScheduler {
   // the multi-source pointer batch reused across tracks so the verify
   // pipeline never allocates per track.
   struct VerifyScratch {
-    Block block;
     DegradedReadScratch parity_scratch;
     std::vector<const uint8_t*> srcs;
     std::vector<int> missing_units;  // dual-parity codec erasure list

@@ -293,9 +293,10 @@ void RebuildManager::ReconstructDataTracks(int budget) {
     return;
   }
   for (size_t i = 0; i < data_reads_.size(); ++i) {
-    SynthesizeDataBlockInto(data_object_, data_batch_[i],
-                            data_block_bytes_, &data_expected_);
-    if (data_reads_[i].data != data_expected_) ++data_mismatches_;
+    if (!DataBlockMatches(data_object_, data_batch_[i], data_block_bytes_,
+                          data_reads_[i].data)) {
+      ++data_mismatches_;
+    }
   }
   data_tracks_reconstructed_ += take;
   data_bytes_reconstructed_ +=

@@ -114,7 +114,6 @@ class RebuildManager {
   std::vector<TrackRead> data_reads_;  // batch outputs (reused)
   DegradedReadScratch data_scratch_;
   DiskSet data_failed_;
-  Block data_expected_;
   int64_t data_tracks_reconstructed_ = 0;
   int64_t data_bytes_reconstructed_ = 0;
   int64_t data_mismatches_ = 0;

@@ -9,12 +9,26 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cstdlib>
+#include <charconv>
 #include <cstring>
 
 namespace ftms {
 
 namespace {
+
+// All of `digits` as a decimal integer in [lo, hi]: no sign, no spaces,
+// nothing after the last digit. Out-of-range values fail rather than
+// wrap.
+std::optional<int> ParseDecimal(std::string_view digits, int lo, int hi) {
+  int value = 0;
+  const char* end = digits.data() + digits.size();
+  const std::from_chars_result r =
+      std::from_chars(digits.data(), end, value);
+  if (r.ec != std::errc() || r.ptr != end || value < lo || value > hi) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 // %xx and '+' decoding for query values; invalid escapes pass through.
 std::string UrlDecode(std::string_view in) {
@@ -145,13 +159,16 @@ StatusOr<ParsedUrl> ParseHttpUrl(const std::string& url) {
   ParsedUrl parsed;
   parsed.target = slash == std::string::npos ? "/" : rest.substr(slash);
   const size_t colon = authority.rfind(':');
-  if (colon == std::string::npos) {
-    parsed.host = authority;
-  } else {
-    parsed.host = authority.substr(0, colon);
-    parsed.port = std::atoi(authority.c_str() + colon + 1);
+  parsed.host = authority.substr(0, colon);
+  if (colon != std::string::npos) {
+    const std::optional<int> port = ParseDecimal(
+        std::string_view(authority).substr(colon + 1), 1, 65535);
+    if (!port) {
+      return Status::InvalidArgument("malformed http URL port: " + url);
+    }
+    parsed.port = *port;
   }
-  if (parsed.host.empty() || parsed.port <= 0 || parsed.port > 65535) {
+  if (parsed.host.empty()) {
     return Status::InvalidArgument("malformed http URL authority: " + url);
   }
   return parsed;
@@ -214,20 +231,36 @@ StatusOr<HttpResponse> HttpGet(const std::string& url, int timeout_ms) {
   }
   ::close(fd);
 
+  StatusOr<HttpResponse> response = ParseHttpResponse(raw);
+  if (!response.ok()) {
+    return Status::Unavailable(std::string(response.status().message()) +
+                               " from " + url);
+  }
+  return response;
+}
+
+StatusOr<HttpResponse> ParseHttpResponse(std::string_view raw) {
   const size_t head_end = raw.find("\r\n\r\n");
-  if (head_end == std::string::npos || raw.substr(0, 5) != "HTTP/") {
-    return Status::Unavailable("malformed HTTP response from " + url);
+  if (head_end == std::string_view::npos || raw.substr(0, 5) != "HTTP/") {
+    return Status::InvalidArgument("malformed HTTP response");
+  }
+  const std::string_view head = raw.substr(0, head_end);
+  // Status line: "HTTP/1.1 200 OK"; the code is exactly three digits.
+  std::optional<int> status;
+  const size_t sp = head.find(' ');
+  if (sp != std::string_view::npos) {
+    const std::string_view code =
+        head.substr(sp + 1, head.find_first_of(" \r", sp + 1) - (sp + 1));
+    if (code.size() == 3) status = ParseDecimal(code, 100, 599);
+  }
+  if (!status) {
+    return Status::InvalidArgument("malformed HTTP status line");
   }
   HttpResponse response;
-  const size_t sp = raw.find(' ');
-  if (sp == std::string::npos || sp + 4 > head_end) {
-    return Status::Unavailable("malformed HTTP status line from " + url);
-  }
-  response.status = std::atoi(raw.c_str() + sp + 1);
+  response.status = *status;
   // Pull Content-Type out of the head; other headers are irrelevant here.
-  const std::string head = raw.substr(0, head_end);
   size_t pos = 0;
-  while ((pos = head.find("\r\n", pos)) != std::string::npos) {
+  while ((pos = head.find("\r\n", pos)) != std::string_view::npos) {
     pos += 2;
     constexpr std::string_view kKey = "Content-Type:";
     if (head.compare(pos, kKey.size(), kKey) == 0) {
@@ -236,7 +269,7 @@ StatusOr<HttpResponse> HttpGet(const std::string& url, int timeout_ms) {
       const size_t end = head.find("\r\n", start);
       response.content_type = head.substr(
           start,
-          (end == std::string::npos ? head.size() : end) - start);
+          (end == std::string_view::npos ? head.size() : end) - start);
     }
   }
   response.body = raw.substr(head_end + 4);

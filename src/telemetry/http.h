@@ -49,7 +49,8 @@ std::string_view HttpStatusReason(int status);
 std::string SerializeHttpResponse(const HttpResponse& response);
 
 // "http://host:port/path" -> parts. Only the http scheme is accepted;
-// the target defaults to "/".
+// the target defaults to "/". The port, when given, must be all digits
+// in [1, 65535].
 struct ParsedUrl {
   std::string host;
   int port = 80;
@@ -59,9 +60,14 @@ StatusOr<ParsedUrl> ParseHttpUrl(const std::string& url);
 
 // Blocking GET against `url`. Connects, sends the request, reads until
 // EOF and splits off the head. Returns the parsed status and body;
-// Unavailable on connect/IO failure or timeout.
+// Unavailable on connect/IO failure, timeout or a malformed response.
 StatusOr<HttpResponse> HttpGet(const std::string& url,
                                int timeout_ms = 5000);
+
+// Splits a whole response (head, blank line, body) into its status code,
+// Content-Type and body. The status code must be three digits in
+// [100, 599]; InvalidArgument otherwise, or when the head is malformed.
+StatusOr<HttpResponse> ParseHttpResponse(std::string_view raw);
 
 }  // namespace ftms
 

@@ -272,19 +272,38 @@ void AppendJsonInt(std::string* out, int64_t v) {
   out->append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
+namespace {
+
 // std::to_chars with an explicit precision prints the same bytes as
-// printf's "%.0f" / "%.<digits>g" (NaN and infinities included), without
-// the format-string parse and locale lookup on every number.
-void AppendJsonNumber(std::string* out, double v, int digits) {
+// printf's "%.0f" / "%.<digits>g" for a finite value, without the
+// format-string parse and locale lookup on every number.
+void AppendFiniteNumber(std::string* out, double v, int digits) {
   char buf[64];
-  const bool integral =
-      std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15;
+  const bool integral = v == std::floor(v) && std::fabs(v) < 1e15;
   const std::to_chars_result r =
       integral ? std::to_chars(buf, buf + sizeof(buf), v,
                                std::chars_format::fixed, 0)
                : std::to_chars(buf, buf + sizeof(buf), v,
                                std::chars_format::general, digits);
   out->append(buf, r.ptr);
+}
+
+}  // namespace
+
+void AppendJsonNumber(std::string* out, double v, int digits) {
+  if (std::isfinite(v)) {
+    AppendFiniteNumber(out, v, digits);
+  } else {
+    out->append("null");
+  }
+}
+
+void AppendTextNumber(std::string* out, double v, int digits) {
+  if (std::isfinite(v)) {
+    AppendFiniteNumber(out, v, digits);
+  } else {
+    out->append(std::isnan(v) ? "NaN" : (v > 0 ? "+Inf" : "-Inf"));
+  }
 }
 
 Status WriteTextFile(const std::string& path, std::string_view text) {

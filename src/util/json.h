@@ -81,8 +81,15 @@ void AppendJsonString(std::string* out, std::string_view s);
 void AppendJsonInt(std::string* out, int64_t v);
 
 // Appends `v` with no decimals when it is integral and |v| < 1e15, and
-// with `digits` significant digits ("%.<digits>g") otherwise.
+// with `digits` significant digits ("%.<digits>g") otherwise. JSON has
+// no NaN or infinity: those are written as null.
 void AppendJsonNumber(std::string* out, double v, int digits);
+
+// AppendJsonNumber's form for the text outputs (Prometheus exposition,
+// CSV, markdown and console tables): the same digits for finite values,
+// and NaN, +Inf and -Inf, the Prometheus text format's spellings, for
+// the others.
+void AppendTextNumber(std::string* out, double v, int digits);
 
 // Writes `text` to `path`, replacing the file; Unavailable when the file
 // cannot be opened or the write comes up short.

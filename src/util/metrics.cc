@@ -63,7 +63,7 @@ std::string WithLabel(const std::string& name, const char* key,
 
 std::string FormatEdge(double v) {
   std::string s;
-  AppendJsonNumber(&s, v, 9);
+  AppendTextNumber(&s, v, 9);
   return s;
 }
 
@@ -251,14 +251,14 @@ std::string MetricsRegistry::PrometheusText() const {
       case MetricKind::kCounter:
         out += name;
         out += ' ';
-        AppendJsonNumber(&out, static_cast<double>(metric.counter->value()),
+        AppendTextNumber(&out, static_cast<double>(metric.counter->value()),
                          9);
         out += '\n';
         break;
       case MetricKind::kGauge:
         out += name;
         out += ' ';
-        AppendJsonNumber(&out, metric.gauge->value(), 9);
+        AppendTextNumber(&out, metric.gauge->value(), 9);
         out += '\n';
         break;
       case MetricKind::kHistogram: {
@@ -269,20 +269,20 @@ std::string MetricsRegistry::PrometheusText() const {
           out += WithLabel(WithSuffix(name, "_bucket"), "le",
                            FormatEdge(h.bucket_upper(i)));
           out += ' ';
-          AppendJsonNumber(&out, static_cast<double>(cum), 9);
+          AppendTextNumber(&out, static_cast<double>(cum), 9);
           out += '\n';
         }
         out += WithLabel(WithSuffix(name, "_bucket"), "le", "+Inf");
         out += ' ';
-        AppendJsonNumber(&out, static_cast<double>(h.count()), 9);
+        AppendTextNumber(&out, static_cast<double>(h.count()), 9);
         out += '\n';
         out += WithSuffix(name, "_sum");
         out += ' ';
-        AppendJsonNumber(&out, h.sum(), 9);
+        AppendTextNumber(&out, h.sum(), 9);
         out += '\n';
         out += WithSuffix(name, "_count");
         out += ' ';
-        AppendJsonNumber(&out, static_cast<double>(h.count()), 9);
+        AppendTextNumber(&out, static_cast<double>(h.count()), 9);
         out += '\n';
         for (const auto& [suffix, q] :
              {std::pair<const char*, double>{"_p50", 0.5},
@@ -303,7 +303,7 @@ std::string MetricsRegistry::PrometheusText() const {
     for (const auto& [sample, value] : samples) {
       out += sample;
       out += ' ';
-      AppendJsonNumber(&out, value, 9);
+      AppendTextNumber(&out, value, 9);
       out += '\n';
     }
   }

@@ -218,9 +218,9 @@ std::string TimeSeriesRecorder::ToCsv() const {
     for (const Point& p : s->pts) {
       out += s->name;
       out += ',';
-      AppendJsonNumber(&out, static_cast<double>(p.t_us), 9);
+      AppendTextNumber(&out, static_cast<double>(p.t_us), 9);
       out += ',';
-      AppendJsonNumber(&out, p.v, 9);
+      AppendTextNumber(&out, p.v, 9);
       out += '\n';
     }
   }

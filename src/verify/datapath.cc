@@ -1,18 +1,19 @@
 #include "verify/datapath.h"
 
 #include <algorithm>
-#include <cstring>
 #include <string>
+
+#include "parity/pq_kernels.h"
 
 namespace ftms {
 namespace {
 
-// SplitMix64-style mixer keyed by (object, track, word index).
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
+// The synthesis seed of data track `track` of `object_id`: word i of the
+// block is SynthMix(seed + i).
+uint64_t DataBlockSeed(int object_id, int64_t track) {
+  return SynthMix(
+      (static_cast<uint64_t>(static_cast<uint32_t>(object_id)) << 32) ^
+      static_cast<uint64_t>(track));
 }
 
 // Extent of parity group `group`: first member track and member count
@@ -137,20 +138,15 @@ Status CheckGroupReconstructible(const Layout& layout, int object_id,
 void SynthesizeDataBlockInto(int object_id, int64_t track,
                              size_t block_bytes, Block* out) {
   out->resize(block_bytes);
-  const uint64_t seed =
-      Mix((static_cast<uint64_t>(static_cast<uint32_t>(object_id)) << 32) ^
-          static_cast<uint64_t>(track));
-  uint64_t counter = seed;
-  uint8_t* dst = out->data();
-  size_t i = 0;
-  for (; i + 8 <= block_bytes; i += 8) {
-    const uint64_t word = Mix(counter++);
-    std::memcpy(dst + i, &word, 8);
-  }
-  if (i < block_bytes) {
-    const uint64_t word = Mix(counter++);
-    std::memcpy(dst + i, &word, block_bytes - i);
-  }
+  ActivePqKernel().synth(out->data(), DataBlockSeed(object_id, track),
+                         block_bytes);
+}
+
+bool DataBlockMatches(int object_id, int64_t track, size_t block_bytes,
+                      const Block& block) {
+  return block.size() == block_bytes &&
+         ActivePqKernel().synth_matches(
+             block.data(), DataBlockSeed(object_id, track), block_bytes);
 }
 
 Block SynthesizeDataBlock(int object_id, int64_t track,
@@ -337,14 +333,12 @@ StatusOr<int64_t> VerifyObjectReadback(const Layout& layout, int object_id,
   int64_t reconstructed = 0;
   DegradedReadScratch scratch;
   TrackRead read;
-  Block expected;
   for (int64_t t = 0; t < object_tracks; ++t) {
     const Status status =
         ReadTrackDegradedInto(layout, object_id, t, object_tracks,
                               failed_disks, block_bytes, &scratch, &read);
     if (!status.ok()) return status;
-    SynthesizeDataBlockInto(object_id, t, block_bytes, &expected);
-    if (read.data != expected) {
+    if (!DataBlockMatches(object_id, t, block_bytes, read.data)) {
       return Status::Internal("byte mismatch at track " +
                               std::to_string(t));
     }

@@ -21,6 +21,11 @@ namespace ftms {
 // the "disk" never stores anything, it regenerates the same bytes on
 // every read, and parity blocks are the XOR of their group's synthesized
 // data blocks — exactly the bytes a real write path would have placed.
+// A data block's word i is SynthMix(seed + i), the seed itself a
+// SynthMix of (object, track); the dispatched kernel writes it
+// (parity/pq_kernels.h), and the scalar kernel defines its bytes.
+// Checking a block against ground truth (DataBlockMatches) runs through
+// the same kernel in registers, without synthesizing an expected block.
 //
 // The `...Into` forms write through caller-owned blocks/scratch so that
 // loops over many tracks (scrubbing, integrity-mode delivery, rebuild,
@@ -34,6 +39,12 @@ namespace ftms {
 // into *out (resized to `block_bytes`; capacity is reused across calls).
 void SynthesizeDataBlockInto(int object_id, int64_t track,
                              size_t block_bytes, Block* out);
+
+// True when `block` is exactly the `block_bytes` bytes that
+// SynthesizeDataBlockInto writes for (object_id, track): the
+// ground-truth check of every byte path, fused into the synthesis loop.
+bool DataBlockMatches(int object_id, int64_t track, size_t block_bytes,
+                      const Block& block);
 
 // Deterministic contents of data track `track` of `object_id`.
 Block SynthesizeDataBlock(int object_id, int64_t track,

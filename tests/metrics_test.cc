@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "util/json.h"
 
 namespace ftms {
 namespace {
@@ -112,6 +115,34 @@ TEST(MetricsRegistryTest, JsonObject) {
 
   MetricsRegistry empty;
   EXPECT_EQ(empty.JsonObject(), "{}");
+}
+
+// JSON has no NaN or infinity: the dump writes null for them and still
+// parses, while the Prometheus text spells them NaN, +Inf and -Inf.
+TEST(MetricsRegistryTest, NonFiniteGaugesKeepBothDumpsParseable) {
+  MetricsRegistry registry;
+  registry.GetGauge("ftms_nan")->Set(std::numeric_limits<double>::quiet_NaN());
+  registry.GetGauge("ftms_pos_inf")->Set(
+      std::numeric_limits<double>::infinity());
+  registry.GetGauge("ftms_neg_inf")->Set(
+      -std::numeric_limits<double>::infinity());
+  registry.GetGauge("ftms_finite")->Set(2.5);
+
+  const StatusOr<JsonValue> parsed = JsonValue::Parse(registry.JsonObject());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n"
+                           << registry.JsonObject();
+  for (const char* name : {"ftms_nan", "ftms_pos_inf", "ftms_neg_inf"}) {
+    const JsonValue* value = parsed->Find(name);
+    ASSERT_NE(value, nullptr) << name;
+    EXPECT_TRUE(value->is_null()) << name;
+  }
+  ASSERT_NE(parsed->Find("ftms_finite"), nullptr);
+  EXPECT_EQ(parsed->Find("ftms_finite")->AsNumber(), 2.5);
+
+  const std::string text = registry.PrometheusText();
+  EXPECT_NE(text.find("ftms_nan NaN\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("ftms_pos_inf +Inf\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("ftms_neg_inf -Inf\n"), std::string::npos) << text;
 }
 
 TEST(MetricsRegistryTest, WritePrometheusFile) {

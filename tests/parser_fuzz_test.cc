@@ -20,14 +20,14 @@ namespace ftms {
 namespace {
 
 // Seeded-mutation fuzzing of the parsers that read outside bytes: the
-// JSON reader, the HTTP request-head and URL parsers, and the run-report
-// loaders with both renderers. Each target starts from its committed seed
-// corpus (tests/corpus/<target>/) and runs a fixed-seed stream of mutants
-// (bit flips, cuts, inserted JSON and HTTP tokens, splices of corpus
-// files) through the parser. Every call must come back with a value or an
-// InvalidArgument; under -DFTMS_SANITIZE=address a memory error or
-// undefined behaviour on the way aborts the test. The counts keep the
-// whole file to a few seconds in that build.
+// JSON reader, the HTTP request-head, URL and response parsers, and the
+// run-report loaders with both renderers. Each target starts from its
+// committed seed corpus (tests/corpus/<target>/) and runs a fixed-seed
+// stream of mutants (bit flips, cuts, inserted JSON and HTTP tokens,
+// splices of corpus files) through the parser. Every call must come back
+// with a value or an InvalidArgument; under -DFTMS_SANITIZE=address a
+// memory error or undefined behaviour on the way aborts the test. The
+// counts keep the whole file to a few seconds in that build.
 
 constexpr int kJsonMutants = 60000;
 constexpr int kHttpMutants = 100000;
@@ -157,6 +157,14 @@ TEST(ParserFuzzTest, HttpHeadAndUrlParsersReturnValueOrError) {
       ASSERT_LE(url->port, 65535) << i << ": " << Printable(m);
     } else {
       ASSERT_EQ(url.status().code(), StatusCode::kInvalidArgument)
+          << i << ": " << Printable(m);
+    }
+    const StatusOr<HttpResponse> response = ParseHttpResponse(m);
+    if (response.ok()) {
+      ASSERT_GE(response->status, 100) << i << ": " << Printable(m);
+      ASSERT_LE(response->status, 599) << i << ": " << Printable(m);
+    } else {
+      ASSERT_EQ(response.status().code(), StatusCode::kInvalidArgument)
           << i << ": " << Printable(m);
     }
   }

@@ -120,6 +120,78 @@ TEST(PqKernelTest, EveryRunnableKernelMulXorMatchesReference) {
   }
 }
 
+// Block synthesis: the scalar kernel defines the bytes (datapath_test
+// pins them by digest); every other kernel must write the same bytes, at
+// every length around its vector widths and at odd destinations, and
+// write nothing past the end. The seeds include one whose counter wraps
+// past 2^64 inside the block.
+const size_t kSynthSizes[] = {0, 1, 7, 8, 9, 63, 64, 71, 1000, 51200};
+const uint64_t kSynthSeeds[] = {0, 0x0123456789abcdefull,
+                                ~uint64_t{0} - 5};
+
+TEST(PqKernelTest, EveryRunnableKernelSynthMatchesScalar) {
+  const PqKernel* scalar = FindPqKernel("scalar").value();
+  constexpr uint8_t kGuard = 0xA5;
+  for (const size_t bytes : kSynthSizes) {
+    for (const uint64_t seed : kSynthSeeds) {
+      std::vector<uint8_t> want(bytes);
+      scalar->synth(want.data(), seed, bytes);
+      for (const size_t offset : {0, 1, 3}) {
+        for (const PqKernel& kernel : CompiledPqKernels()) {
+          if (!kernel.supported()) continue;
+          std::vector<uint8_t> dst(offset + bytes + 8, kGuard);
+          kernel.synth(dst.data() + offset, seed, bytes);
+          ASSERT_TRUE(std::equal(want.begin(), want.end(),
+                                 dst.begin() + offset))
+              << kernel.name << " bytes=" << bytes << " seed=" << seed
+              << " offset=" << offset;
+          for (size_t i = 0; i < offset; ++i) ASSERT_EQ(dst[i], kGuard);
+          for (size_t i = offset + bytes; i < dst.size(); ++i) {
+            ASSERT_EQ(dst[i], kGuard)
+                << kernel.name << " wrote past the end, bytes=" << bytes;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The fused check accepts exact bytes and rejects a one-bit flip at the
+// first byte, the middle byte, the last byte of the last full word and,
+// when the length leaves one, inside the sub-word tail.
+TEST(PqKernelTest, EveryRunnableKernelSynthMatchesAcceptsExactRejectsFlips) {
+  const PqKernel* scalar = FindPqKernel("scalar").value();
+  for (const size_t bytes : kSynthSizes) {
+    for (const uint64_t seed : kSynthSeeds) {
+      for (const size_t offset : {0, 1}) {
+        std::vector<uint8_t> buf(offset + bytes);
+        uint8_t* block = buf.data() + offset;
+        scalar->synth(block, seed, bytes);
+        std::vector<size_t> flips;
+        if (bytes > 0) flips = {0, bytes / 2};
+        if (bytes >= 8) flips.push_back(bytes / 8 * 8 - 1);
+        if (bytes % 8 != 0) flips.push_back(bytes - 1);
+        for (const PqKernel& kernel : CompiledPqKernels()) {
+          if (!kernel.supported()) continue;
+          ASSERT_TRUE(kernel.synth_matches(block, seed, bytes))
+              << kernel.name << " bytes=" << bytes << " offset=" << offset;
+          ASSERT_EQ(kernel.synth_matches(block, seed + 1, bytes), bytes == 0)
+              << kernel.name << " bytes=" << bytes;
+          for (const size_t at : flips) {
+            for (const int bit : {0, 7}) {
+              block[at] ^= static_cast<uint8_t>(1u << bit);
+              EXPECT_FALSE(kernel.synth_matches(block, seed, bytes))
+                  << kernel.name << " missed a flip of bit " << bit
+                  << " at byte " << at << " of " << bytes;
+              block[at] ^= static_cast<uint8_t>(1u << bit);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(PqKernelTest, PqGenerateNBatchesBeyondMaxSources) {
   // 21 sources forces three kernel batches (8 + 8 + 5) with the g^i run
   // continuing across batch boundaries.

@@ -86,6 +86,54 @@ TEST(TelemetryHubTest, ReadinessTracksRebuildAndBreaches) {
   EXPECT_TRUE(rig.hub.Latest()->ready());
 }
 
+TEST(HttpUrlTest, ParsesHostPortAndTarget) {
+  const ParsedUrl url = ParseHttpUrl("http://127.0.0.1:65535/vars?x=1").value();
+  EXPECT_EQ(url.host, "127.0.0.1");
+  EXPECT_EQ(url.port, 65535);
+  EXPECT_EQ(url.target, "/vars?x=1");
+  EXPECT_EQ(ParseHttpUrl("http://localhost:1").value().port, 1);
+  EXPECT_EQ(ParseHttpUrl("http://localhost").value().port, 80);
+  EXPECT_EQ(ParseHttpUrl("http://localhost").value().target, "/");
+}
+
+TEST(HttpUrlTest, RejectsPortsThatAreNotWholeNumbersInRange) {
+  // 4294967377 is 2^32 + 81: a parse that wraps reads it as port 81.
+  for (const char* url :
+       {"http://127.0.0.1:4294967377/metrics", "http://127.0.0.1:80x/",
+        "http://127.0.0.1:/metrics", "http://127.0.0.1:", "http://h:0/",
+        "http://h:65536/", "http://h:-80/", "http://h:+80/", "http://h: 80/",
+        "http://:80/"}) {
+    const StatusOr<ParsedUrl> parsed = ParseHttpUrl(url);
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+        << url << " parsed as port " << (parsed.ok() ? parsed->port : 0);
+  }
+}
+
+TEST(HttpResponseTest, ParsesStatusContentTypeAndBody) {
+  const HttpResponse response =
+      ParseHttpResponse(
+          "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain"
+          "\r\nContent-Length: 4\r\n\r\nbusy")
+          .value();
+  EXPECT_EQ(response.status, 503);
+  EXPECT_EQ(response.content_type, "text/plain");
+  EXPECT_EQ(response.body, "busy");
+  EXPECT_EQ(ParseHttpResponse("HTTP/1.1 200\r\n\r\n").value().status, 200);
+}
+
+TEST(HttpResponseTest, RejectsStatusCodesThatAreNotThreeDigitsInRange) {
+  for (const char* raw :
+       {"HTTP/1.1 4294967496 OK\r\n\r\n", "HTTP/1.1 20x OK\r\n\r\n",
+        "HTTP/1.1 2000 OK\r\n\r\n", "HTTP/1.1 99 OK\r\n\r\n",
+        "HTTP/1.1 600 OK\r\n\r\n", "HTTP/1.1 -20 OK\r\n\r\n",
+        "HTTP/1.1  200 OK\r\n\r\n", "HTTP/1.1\r\n\r\n",
+        "HTTP/1.1 200 OK\r\n", "HTTX/1.1 200 OK\r\n\r\n"}) {
+    EXPECT_EQ(ParseHttpResponse(raw).status().code(),
+              StatusCode::kInvalidArgument)
+        << raw;
+  }
+}
+
 TEST(TelemetryServerTest, HandleRoutesEndpointsSocketlessly) {
   HubRig rig;
   rig.hub.Publish(5000000);

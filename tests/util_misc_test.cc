@@ -194,6 +194,12 @@ std::string JsonNumber(double v, int digits) {
   return out;
 }
 
+std::string TextNumber(double v, int digits) {
+  std::string out;
+  AppendTextNumber(&out, v, digits);
+  return out;
+}
+
 std::string JsonInt(int64_t v) {
   std::string out;
   AppendJsonInt(&out, v);
@@ -262,10 +268,22 @@ TEST(JsonWriterTest, NumberForms) {
   EXPECT_EQ(JsonNumber(1.0 / 3, 6), "0.333333");
   EXPECT_EQ(JsonNumber(1.0 / 3, 9), "0.333333333");
   EXPECT_EQ(JsonNumber(2.5e-7, 6), "2.5e-07");
-  EXPECT_EQ(JsonNumber(std::numeric_limits<double>::quiet_NaN(), 9), "nan");
-  EXPECT_EQ(JsonNumber(std::numeric_limits<double>::infinity(), 6), "inf");
+  // JSON has no NaN or infinity.
+  EXPECT_EQ(JsonNumber(std::numeric_limits<double>::quiet_NaN(), 9), "null");
+  EXPECT_EQ(JsonNumber(std::numeric_limits<double>::infinity(), 6), "null");
   EXPECT_EQ(JsonNumber(-std::numeric_limits<double>::infinity(), 9),
-            "-inf");
+            "null");
+}
+
+TEST(JsonWriterTest, TextNumbersSpellNonFiniteValuesAsPrometheusDoes) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(TextNumber(nan, 9), "NaN");
+  EXPECT_EQ(TextNumber(-nan, 6), "NaN");
+  EXPECT_EQ(TextNumber(inf, 9), "+Inf");
+  EXPECT_EQ(TextNumber(-inf, 6), "-Inf");
+  EXPECT_EQ(TextNumber(1e6, 6), "1000000");
+  EXPECT_EQ(TextNumber(2.5e-7, 6), "2.5e-07");
 }
 
 TEST(JsonWriterTest, NumbersMatchPrintf) {
@@ -294,15 +312,25 @@ TEST(JsonWriterTest, NumbersMatchPrintf) {
                            -std::numeric_limits<double>::infinity(),
                            nan,
                            -nan};
+  // Non-finite values, which printf writes as nan and inf, are JSON
+  // null and text NaN / +Inf / -Inf.
   for (const double v : values) {
     for (const int digits : {6, 9}) {
       char want[64];
-      if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
+      if (!std::isfinite(v)) {
+        EXPECT_EQ(JsonNumber(v, digits), "null") << v << " at " << digits;
+        EXPECT_EQ(TextNumber(v, digits),
+                  std::isnan(v) ? "NaN" : (v > 0 ? "+Inf" : "-Inf"))
+            << v << " at " << digits;
+        continue;
+      }
+      if (v == std::floor(v) && std::fabs(v) < 1e15) {
         std::snprintf(want, sizeof(want), "%.0f", v);
       } else {
         std::snprintf(want, sizeof(want), "%.*g", digits, v);
       }
       EXPECT_EQ(JsonNumber(v, digits), want) << v << " at " << digits;
+      EXPECT_EQ(TextNumber(v, digits), want) << v << " at " << digits;
     }
   }
 }

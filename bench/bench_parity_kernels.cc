@@ -65,7 +65,7 @@ int main() {
   std::printf("dispatched kernel (both folds, picked on P+Q): %s\n",
               ActivePqKernelName());
   for (const PqKernelMeasurement& m : PqKernelSelectionReport()) {
-    std::printf("  %-8s %-11s %8.1f GB/s%s\n", m.name,
+    std::printf("  %-8s %-11s %8.1f GiB/s%s\n", m.name,
                 m.supported ? "runnable" : "unsupported", m.gb_per_s,
                 m.selected ? "  <- selected" : "");
   }
@@ -109,7 +109,7 @@ int main() {
       const double bytes = static_cast<double>(kReps) * 3.0 * nsrc *
                            static_cast<double>(kBlockBytes);
       const double gbps = GigabytesPerSecond(bytes, s);
-      std::printf("  %-18s %8.2f GB/s  (%d dst passes)\n",
+      std::printf("  %-18s %8.2f GiB/s  (%d dst passes)\n",
                   "pairwise_scalar", gbps, nsrc);
       report.Set("pairwise_scalar_n" + std::to_string(nsrc) + "_gbps",
                  gbps);
@@ -138,7 +138,7 @@ int main() {
                            static_cast<double>(nsrc + 2) *
                            static_cast<double>(kBlockBytes);
       const double gbps = GigabytesPerSecond(bytes, s);
-      std::printf("  %-18s %8.2f GB/s  (1 dst pass)%s\n", kernel.name,
+      std::printf("  %-18s %8.2f GiB/s  (1 dst pass)%s\n", kernel.name,
                   gbps,
                   &kernel == &ActivePqKernel() ? "  <- dispatched" : "");
       report.Set(std::string(kernel.name) + "_n" + std::to_string(nsrc) +
@@ -191,7 +191,7 @@ int main() {
       const double bytes = static_cast<double>(kReps) * 5.0 * nsrc *
                            static_cast<double>(kBlockBytes);
       const double gbps = GigabytesPerSecond(bytes, s);
-      std::printf("  %-18s %8.2f GB/s  (%d p/q passes)\n",
+      std::printf("  %-18s %8.2f GiB/s  (%d p/q passes)\n",
                   "pairwise_scalar", gbps, nsrc);
       report.Set("pq_pairwise_scalar_n" + std::to_string(nsrc) + "_gbps",
                  gbps);
@@ -236,7 +236,7 @@ int main() {
                       gbps / scalar_gbps[nsrc]);
         note = buf;
       }
-      std::printf("  %-18s %8.2f GB/s  (1 fused pass)%s%s\n", kernel.name,
+      std::printf("  %-18s %8.2f GiB/s  (1 fused pass)%s%s\n", kernel.name,
                   gbps, note.c_str(),
                   &kernel == &ActivePqKernel() ? "  <- dispatched" : "");
       report.Set("pq_" + std::string(kernel.name) + "_n" +
@@ -249,7 +249,7 @@ int main() {
   // and the ground-truth check against them. synth writes a block;
   // synth_matches checks one in registers. The synth_then_compare row is
   // the check the datapath ran before the fused form: scalar synthesis
-  // of an expected block, then memcmp. GB/s counts block bytes written
+  // of an expected block, then memcmp. GiB/s counts block bytes written
   // or checked.
   bench::Banner("Block synthesis and the fused ground-truth check");
   constexpr uint64_t kSynthSeed = 0x5eed5eed5eed5eedull;
@@ -270,7 +270,7 @@ int main() {
       std::printf("ERROR: scalar synthesis is not deterministic\n");
       return 1;
     }
-    std::printf("  %-18s %8.2f GB/s  (scalar synth, then memcmp)\n",
+    std::printf("  %-18s %8.2f GiB/s  (scalar synth, then memcmp)\n",
                 "synth_then_compare", gbps);
     report.Set("synth_then_compare_scalar_gbps", gbps);
   }
@@ -311,7 +311,7 @@ int main() {
         static_cast<double>(kReps) * static_cast<double>(kBlockBytes);
     const double synth_gbps = GigabytesPerSecond(bytes, synth_s);
     const double check_gbps = GigabytesPerSecond(bytes, check_s);
-    std::printf("  %-18s %8.2f GB/s synth  %8.2f GB/s synth_matches%s\n",
+    std::printf("  %-18s %8.2f GiB/s synth  %8.2f GiB/s synth_matches%s\n",
                 kernel.name, synth_gbps, check_gbps,
                 &kernel == &ActivePqKernel() ? "  <- dispatched" : "");
     report.Set("synth_" + std::string(kernel.name) + "_gbps", synth_gbps);
@@ -331,7 +331,7 @@ int main() {
   std::printf(
       "\nReading: pairwise_scalar is the old datapath (one full pass over\n"
       "the destination per source); every other row folds all sources in\n"
-      "one pass. GB/s counts memory traffic, so at equal wall time the\n"
+      "one pass. GiB/s counts memory traffic, so at equal wall time the\n"
       "fused rows already score ~(n+2)/3n of pairwise — any further gap\n"
       "is vectorization. All kernels are byte-identical by construction\n"
       "(checked above); FTMS_PQ_KERNEL pins the dispatch of both\n"

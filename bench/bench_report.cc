@@ -13,7 +13,6 @@
 #include "util/profiler.h"
 #include "util/thread_pool.h"
 #include "util/timeseries.h"
-#include "util/trace_event.h"
 
 namespace ftms::bench {
 
@@ -38,7 +37,6 @@ std::string Reporter::WriteJson() const {
   const std::string path = dir + "/BENCH_" + name_ + ".json";
 
   MetricsRegistry* registry = MetricsRegistry::GlobalIfEnabled();
-  Tracer* tracer = Tracer::GlobalIfEnabled();
   EventJournal* journal = EventJournal::GlobalIfEnabled();
   TimeSeriesRecorder* timeseries = TimeSeriesRecorder::GlobalIfEnabled();
   const bool prof = Profiler::GlobalEnabled();
@@ -56,8 +54,6 @@ std::string Reporter::WriteJson() const {
           std::to_string(ThreadPool::DefaultThreadCount()) + ",\n";
   json += std::string("    \"metrics_enabled\": ") +
           (registry != nullptr ? "true" : "false") + ",\n";
-  json += std::string("    \"trace_enabled\": ") +
-          (tracer != nullptr ? "true" : "false") + ",\n";
   json += std::string("    \"qos_enabled\": ") +
           (journal != nullptr ? "true" : "false") + ",\n";
   json += std::string("    \"prof_enabled\": ") + (prof ? "true" : "false") +
@@ -105,7 +101,6 @@ std::string Reporter::WriteJson() const {
   std::printf("wrote %s\n", path.c_str());
 
   WriteRunDumps({.metrics = registry,
-                 .tracer = tracer,
                  .journal = journal,
                  .profile = prof,
                  .timeseries = timeseries},

@@ -29,9 +29,11 @@ class WallTimer {
 // tools/bench_diff.py.
 //
 // Schema version 2 added an "env" stamp (worker threads, whether the
-// metrics registry / tracer were enabled — both skew timings) and, when
+// metrics registry was enabled — it skews timings) and, when
 // the global registry is live, a full "registry" block of its metrics so
 // the perf numbers and the observability counters land in one artifact.
+// (Older snapshots also carry a "trace_enabled" stamp from a since-deleted
+// timeline tracer; nothing reads it.)
 // Schema version 3 adds "qos_enabled" to the env stamp and, when the QoS
 // journal is live (FTMS_QOS=1), a "qos" block of per-kind journal event
 // counts. bench_diff.py refuses to compare across schema versions.
@@ -54,8 +56,6 @@ class WallTimer {
 //   FTMS_BENCH_JSON_DIR=dir  target directory (default: current dir)
 //   FTMS_METRICS_OUT=path    also export the global registry as
 //                            Prometheus text to `path`
-//   FTMS_TRACE_OUT=path      also export the global tracer as Chrome
-//                            trace JSON to `path`
 //   FTMS_QOS_OUT=path        also export the global QoS journal as
 //                            JSONL to `path`
 //   FTMS_PROF_OUT=path       also export the profiler tree as JSON to
@@ -74,7 +74,7 @@ class Reporter {
   // Writes BENCH_<name>.json and returns its path; returns "" when
   // disabled via FTMS_BENCH_JSON=0 or when the file cannot be written.
   // Also prints a one-line "wrote ..." notice on success, and honors the
-  // FTMS_METRICS_OUT / FTMS_TRACE_OUT exports when those sinks are live.
+  // FTMS_*_OUT exports of the sinks that are live (see WriteRunDumps).
   std::string WriteJson() const;
 
   const std::string& name() const { return name_; }

@@ -18,7 +18,9 @@ bool Avx512Supported() {
 }
 
 // The shuffle stays lane-local, so the 16-byte nibble tables broadcast
-// to all four 128-bit lanes: 64 GF multiplies per instruction pair.
+// to all four 128-bit lanes: 64 GF multiplies per instruction pair. The
+// broadcast is the all-lanes maskz form: the same vbroadcasti32x4, but
+// GCC 12's plain form passes an undefined vector and warns.
 struct NibblePair {
   __m512i lo;
   __m512i hi;
@@ -28,10 +30,10 @@ NibblePair LoadTables(uint8_t c) {
   alignas(16) uint8_t lo[16];
   alignas(16) uint8_t hi[16];
   gf256::NibbleTables(c, lo, hi);
-  return {_mm512_broadcast_i32x4(
-              _mm_load_si128(reinterpret_cast<const __m128i*>(lo))),
-          _mm512_broadcast_i32x4(
-              _mm_load_si128(reinterpret_cast<const __m128i*>(hi)))};
+  return {_mm512_maskz_broadcast_i32x4(
+              0xFFFF, _mm_load_si128(reinterpret_cast<const __m128i*>(lo))),
+          _mm512_maskz_broadcast_i32x4(
+              0xFFFF, _mm_load_si128(reinterpret_cast<const __m128i*>(hi)))};
 }
 
 inline __m512i MulBytes(__m512i v, const NibblePair& t, __m512i mask) {

@@ -59,11 +59,11 @@ double MeasureGbPerS(const PqKernel& kernel) {
   }
   if (best_seconds <= 0) return 0;
   // Memory traffic per call: nsrc source reads + p read/write + q
-  // read/write.
+  // read/write, in GiB/s like every kernel row of bench_parity_kernels.
   const double bytes_moved = static_cast<double>(kBenchReps) *
                              static_cast<double>(kBenchSources + 4) *
                              static_cast<double>(kBenchBytes);
-  return bytes_moved / best_seconds / 1e9;
+  return bytes_moved / best_seconds / (1024.0 * 1024.0 * 1024.0);
 }
 
 struct Selection {
@@ -76,7 +76,7 @@ void ExportSelection(const Selection& selection, MetricsRegistry* registry) {
   for (const PqKernelMeasurement& m : selection.report) {
     Gauge* gbps = registry->GetGauge(
         LabeledName("ftms_parity_pq_kernel_gb_per_s", {{"kernel", m.name}}),
-        "Measured GF(2^8) P+Q kernel throughput at selection time");
+        "Measured GF(2^8) P+Q kernel throughput at selection time, GiB/s");
     if (gbps != nullptr) gbps->Set(m.gb_per_s);
     Gauge* active = registry->GetGauge(
         LabeledName("ftms_parity_pq_kernel_active", {{"kernel", m.name}}),
@@ -130,7 +130,7 @@ const Selection& GetSelection() {
       m.selected = std::string_view(m.name) == best->name;
       FTMS_LOG(Info) << "pq kernel " << m.name << ": "
                      << (m.supported ? "" : "unsupported, ") << m.gb_per_s
-                     << " GB/s" << (m.selected ? "  <= selected" : "");
+                     << " GiB/s" << (m.selected ? "  <= selected" : "");
     }
     ExportSelection(sel, MetricsRegistry::GlobalIfEnabled());
     return sel;

@@ -115,8 +115,9 @@ void GfMulXorInto(uint8_t* dst, const uint8_t* src, uint8_t c,
 struct PqKernelMeasurement {
   const char* name = nullptr;
   bool supported = false;   // CPU can run it
-  double gb_per_s = 0.0;    // 0 when unsupported; counts source reads +
-                            // p/q reads + p/q writes (memory traffic)
+  // GiB/s, 0 when unsupported; counts source reads + p/q reads + p/q
+  // writes (memory traffic).
+  double gb_per_s = 0.0;
   bool selected = false;
 };
 

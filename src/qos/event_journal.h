@@ -12,10 +12,10 @@
 namespace ftms {
 
 // Semantic event kinds recorded by the schedulers, the rebuild manager and
-// the simulation engine. Unlike trace spans (timing) and registry counters
-// (totals), journal events capture WHAT happened to WHOM: a specific disk
-// failed mid-sweep, a specific cluster entered its degraded transition, a
-// rebuild crossed a progress quarter, an SLO started burning.
+// the simulation engine. Unlike registry counters (totals), journal
+// events capture WHAT happened to WHOM: a specific disk failed mid-sweep,
+// a specific cluster entered its degraded transition, a rebuild crossed a
+// progress quarter, an SLO started burning.
 enum class QosEventKind : uint8_t {
   kDiskFailed,               // value = 1 when the failure hit mid-sweep
   kDiskRepaired,             // value = 0
@@ -49,7 +49,7 @@ struct QosEvent {
 };
 
 // Append-only structured journal with the same zero-cost-off contract as
-// MetricsRegistry / Tracer: components hold a nullable EventJournal* and
+// MetricsRegistry: components hold a nullable EventJournal* and
 // Global() is only handed out when FTMS_QOS=1 (or SetGlobalEnabled(true)),
 // so a detached site costs one untaken branch. All producers append at
 // cycle boundaries, failure injection and rebuild steps, which makes the

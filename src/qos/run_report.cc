@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
+#include <iterator>
 #include <map>
 
 #include "qos/event_journal.h"
@@ -11,7 +13,6 @@
 #include "util/metrics.h"
 #include "util/profiler.h"
 #include "util/timeseries.h"
-#include "util/trace_event.h"
 
 namespace ftms {
 
@@ -96,6 +97,8 @@ Status LoadJournal(const std::string& path, RunReport* report) {
     RunReport::TimelineEvent event;
     for (const auto& [field, out] : {std::pair{"sim_us", &event.sim_us},
                                      std::pair{"cycle", &event.cycle},
+                                     std::pair{"disk", &event.disk},
+                                     std::pair{"cluster", &event.cluster},
                                      std::pair{"value", &event.value}}) {
       FTMS_RETURN_IF_ERROR(ReadInt(value->Find(field), where, field, out));
     }
@@ -106,6 +109,7 @@ Status LoadJournal(const std::string& path, RunReport* report) {
       event.scheme = v->AsString();
     }
     report->horizon_us = std::max(report->horizon_us, event.sim_us);
+    report->events.push_back(event);
     if (event.kind == "hiccups") {
       report->hiccups.push_back(std::move(event));
     } else if (event.kind == "slo_breach") {
@@ -243,22 +247,150 @@ void AppendCurve(std::string* out, const RunReport::SeriesSummary& s,
   if (s.curve.empty()) return;
   const size_t n = s.curve.size();
   const size_t step = n <= max_points ? 1 : (n + max_points - 1) / max_points;
-  for (size_t i = 0; i < n; i += step) {
-    const auto& [t, v] = s.curve[i];
+  const auto point = [&](size_t i) {
     *out += "  - t=";
-    AppendSeconds(out, t);
+    AppendSeconds(out, s.curve[i].first);
     *out += "s: ";
-    AppendTextNumber(out, v, 6);
+    AppendTextNumber(out, s.curve[i].second, 6);
     *out += "\n";
+  };
+  for (size_t i = 0; i < n; i += step) point(i);
+  if ((n - 1) % step != 0) point(n - 1);
+}
+
+// One Markdown timeline line, "- t=<s>s cycle=<c> <label>=<value>",
+// with the scheme in parentheses when the event names one.
+void AppendEventLine(std::string* out, const RunReport::TimelineEvent& e,
+                     const char* label) {
+  *out += "- t=";
+  AppendSeconds(out, e.sim_us);
+  *out += "s cycle=";
+  AppendJsonInt(out, e.cycle);
+  *out += ' ';
+  *out += label;
+  *out += '=';
+  AppendJsonInt(out, e.value);
+  if (!e.scheme.empty()) *out += " (" + e.scheme + ")";
+  *out += "\n";
+}
+
+// The journal kinds that open and close a timeline span, and the id a
+// start pairs with its end on.
+struct SpanKind {
+  std::string_view start;
+  std::string_view end;
+  std::string_view name;
+  std::string_view id_name;
+  int64_t RunReport::TimelineEvent::*id;
+};
+constexpr SpanKind kSpanKinds[] = {
+    {"degraded_transition_start", "degraded_transition_end",
+     "degraded_transition", "cluster", &RunReport::TimelineEvent::cluster},
+    {"rebuild_start", "rebuild_done", "rebuild", "disk",
+     &RunReport::TimelineEvent::disk},
+};
+
+// The latest run of one scheme: one Chrome process.
+struct ChromeRun {
+  using Key = std::pair<size_t, int64_t>;  // kSpanKinds index, id
+  int64_t pid = 0;
+  int number = 0;  // runs of the scheme so far
+  int64_t last_cycle = 0;
+  int64_t last_us = 0;
+  // Span tracks as (key, end of the last span); tid = index + 1, and
+  // tid 0 holds the journal's instants.
+  std::vector<std::pair<Key, int64_t>> tracks;
+  // Span starts waiting for their end, oldest first.
+  std::map<Key, std::deque<const RunReport::TimelineEvent*>> open;
+};
+
+// Opens a traceEvents entry, led by ",\n", up to and including "ts".
+void BeginChromeEvent(std::string* out, std::string_view name,
+                      std::string_view cat, char ph, int64_t pid,
+                      int64_t tid, int64_t ts) {
+  out->append(",\n{\"name\": ");
+  AppendJsonString(out, name);
+  out->append(", \"cat\": \"").append(cat).append("\", \"ph\": \"");
+  out->append(1, ph).append("\", \"pid\": ");
+  AppendJsonInt(out, pid);
+  out->append(", \"tid\": ");
+  AppendJsonInt(out, tid);
+  out->append(", \"ts\": ");
+  AppendJsonInt(out, ts);
+}
+
+// A process_name or thread_name metadata entry.
+void AppendChromeName(std::string* out, std::string_view what, int64_t pid,
+                      int64_t tid, const std::string& name) {
+  BeginChromeEvent(out, what, "__metadata", 'M', pid, tid, 0);
+  *out += ", \"args\": {\"name\": ";
+  AppendJsonString(out, name);
+  *out += "}}";
+}
+
+// Closes an entry with integer args.
+void AppendIntArgs(
+    std::string* out,
+    std::initializer_list<std::pair<std::string_view, int64_t>> args) {
+  *out += ", \"args\": {";
+  std::string_view sep;
+  for (const auto& [name, v] : args) {
+    *out += sep;
+    AppendJsonString(out, name);
+    *out += ": ";
+    AppendJsonInt(out, v);
+    sep = ", ";
   }
-  if ((n - 1) % step != 0) {
-    const auto& [t, v] = s.curve.back();
-    *out += "  - t=";
-    AppendSeconds(out, t);
-    *out += "s: ";
-    AppendTextNumber(out, v, 6);
-    *out += "\n";
+  *out += "}}";
+}
+
+// Renders the span from `start` to (end_us, end_cycle) on the first
+// `key` track free by its start, opening a track when none is.
+void AppendSpan(std::string* out, ChromeRun* run, ChromeRun::Key key,
+                const RunReport::TimelineEvent& start, int64_t end_us,
+                int64_t end_cycle) {
+  const SpanKind& kind = kSpanKinds[key.first];
+  size_t tid = 0;
+  int lanes = 0;
+  for (size_t i = 0; i < run->tracks.size() && tid == 0; ++i) {
+    if (run->tracks[i].first != key) continue;
+    ++lanes;
+    if (run->tracks[i].second <= start.sim_us) tid = i + 1;
   }
+  if (tid == 0) {
+    run->tracks.emplace_back(key, 0);
+    tid = run->tracks.size();
+    std::string name = std::string(kind.name) + " " +
+                       std::string(kind.id_name) + " " +
+                       std::to_string(key.second);
+    if (lanes > 0) name += " #" + std::to_string(lanes + 1);
+    AppendChromeName(out, "thread_name", run->pid,
+                     static_cast<int64_t>(tid), name);
+  }
+  run->tracks[tid - 1].second = std::max(start.sim_us, end_us);
+  // Unsigned, so hostile input wraps instead of overflowing.
+  const int64_t dur = end_us > start.sim_us
+                          ? static_cast<int64_t>(
+                                static_cast<uint64_t>(end_us) -
+                                static_cast<uint64_t>(start.sim_us))
+                          : 0;
+  BeginChromeEvent(out, kind.name, kind.name, 'X', run->pid,
+                   static_cast<int64_t>(tid), start.sim_us);
+  *out += ", \"dur\": ";
+  AppendJsonInt(out, dur);
+  AppendIntArgs(out, {{kind.id_name, start.*kind.id},
+                      {"start_cycle", start.cycle},
+                      {"end_cycle", end_cycle}});
+}
+
+// Closes every span still open in `run` at the run's last event.
+void CloseOpenSpans(std::string* out, ChromeRun* run) {
+  for (const auto& [key, starts] : run->open) {
+    for (const RunReport::TimelineEvent* start : starts) {
+      AppendSpan(out, run, key, *start, run->last_us, run->last_cycle);
+    }
+  }
+  run->open.clear();
 }
 
 }  // namespace
@@ -305,14 +437,7 @@ std::string RenderRunReportMarkdown(const RunReport& report) {
     AppendJsonInt(&out, static_cast<int64_t>(report.slo_breaches.size()));
     out += " breach transition(s):\n\n";
     for (const auto& e : report.slo_breaches) {
-      out += "- t=";
-      AppendSeconds(&out, e.sim_us);
-      out += "s cycle=";
-      AppendJsonInt(&out, e.cycle);
-      out += " slo_index=";
-      AppendJsonInt(&out, e.value);
-      if (!e.scheme.empty()) out += " (" + e.scheme + ")";
-      out += "\n";
+      AppendEventLine(&out, e, "slo_index");
     }
   }
   for (const auto& s : report.series) {
@@ -331,15 +456,7 @@ std::string RenderRunReportMarkdown(const RunReport& report) {
   } else {
     const size_t shown = std::min<size_t>(report.hiccups.size(), 20);
     for (size_t i = 0; i < shown; ++i) {
-      const auto& e = report.hiccups[i];
-      out += "- t=";
-      AppendSeconds(&out, e.sim_us);
-      out += "s cycle=";
-      AppendJsonInt(&out, e.cycle);
-      out += " tracks_missed=";
-      AppendJsonInt(&out, e.value);
-      if (!e.scheme.empty()) out += " (" + e.scheme + ")";
-      out += "\n";
+      AppendEventLine(&out, report.hiccups[i], "tracks_missed");
     }
     if (report.hiccups.size() > shown) {
       out += "- ... and ";
@@ -357,16 +474,10 @@ std::string RenderRunReportMarkdown(const RunReport& report) {
       out += "- t=";
       AppendSeconds(&out, e.sim_us);
       out += "s " + e.kind;
-      if (e.kind == "rebuild_start") {
-        out += " tracks_total=";
-        AppendJsonInt(&out, e.value);
-      } else if (e.kind == "rebuild_progress") {
-        out += " percent=";
-        AppendJsonInt(&out, e.value);
-      } else if (e.kind == "rebuild_done") {
-        out += " cycles=";
-        AppendJsonInt(&out, e.value);
-      }
+      out += e.kind == "rebuild_start"      ? " tracks_total="
+             : e.kind == "rebuild_progress" ? " percent="
+                                            : " cycles=";
+      AppendJsonInt(&out, e.value);
       out += "\n";
     }
   }
@@ -549,6 +660,60 @@ std::string RenderRunReportJson(const RunReport& report) {
   return out;
 }
 
+std::string RenderRunReportChrome(const RunReport& report) {
+  std::string events;
+  std::map<std::string, ChromeRun> runs;  // by scheme
+  int64_t pids = 0;
+  for (const RunReport::TimelineEvent& e : report.events) {
+    ChromeRun& run = runs[e.scheme];
+    if (run.pid == 0 || e.cycle < run.last_cycle) {
+      CloseOpenSpans(&events, &run);
+      run.pid = ++pids;
+      ++run.number;
+      run.tracks.clear();
+      AppendChromeName(&events, "process_name", run.pid, 0,
+                       e.scheme + " run " + std::to_string(run.number));
+      AppendChromeName(&events, "thread_name", run.pid, 0, "journal");
+    }
+    run.last_cycle = e.cycle;
+    run.last_us = e.sim_us;
+    BeginChromeEvent(&events, e.kind, "journal", 'i', run.pid, 0, e.sim_us);
+    AppendIntArgs(&events, {{"cycle", e.cycle},
+                            {"disk", e.disk},
+                            {"cluster", e.cluster},
+                            {"value", e.value}});
+    for (size_t k = 0; k < std::size(kSpanKinds); ++k) {
+      const SpanKind& kind = kSpanKinds[k];
+      if (e.kind != kind.start && e.kind != kind.end) continue;
+      const ChromeRun::Key key{k, e.*kind.id};
+      std::deque<const RunReport::TimelineEvent*>& open = run.open[key];
+      if (e.kind == kind.start) {
+        open.push_back(&e);
+      } else if (!open.empty()) {
+        AppendSpan(&events, &run, key, *open.front(), e.sim_us, e.cycle);
+        open.pop_front();
+      }
+    }
+  }
+  for (auto& [scheme, run] : runs) CloseOpenSpans(&events, &run);
+  if (report.has_timeseries) {
+    const int64_t pid = pids + 1;
+    AppendChromeName(&events, "process_name", pid, 0, "time series");
+    for (const RunReport::SeriesSummary& s : report.series) {
+      for (const auto& [t, v] : s.curve) {
+        BeginChromeEvent(&events, s.name, "series", 'C', pid, 0, t);
+        events += ", \"args\": {\"value\": ";
+        AppendJsonNumber(&events, v, 6);
+        events += "}}";
+      }
+    }
+  }
+  if (!events.empty()) events.erase(0, 1);  // the first entry's comma
+  return "{\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {\"clock\": "
+         "\"sim_us\"},\n\"traceEvents\": [" +
+         events + "\n]\n}\n";
+}
+
 void WriteRunDumps(const RunDumps& dumps, std::FILE* log) {
   const auto dump = [log](const char* env, auto write) {
     const char* path = std::getenv(env);
@@ -559,11 +724,6 @@ void WriteRunDumps(const RunDumps& dumps, std::FILE* log) {
   if (dumps.metrics != nullptr) {
     dump("FTMS_METRICS_OUT", [&](const char* path) {
       return dumps.metrics->WritePrometheusFile(path);
-    });
-  }
-  if (dumps.tracer != nullptr) {
-    dump("FTMS_TRACE_OUT", [&](const char* path) {
-      return dumps.tracer->WriteChromeJson(path);
     });
   }
   if (dumps.journal != nullptr) {

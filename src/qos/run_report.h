@@ -14,7 +14,6 @@ namespace ftms {
 class EventJournal;
 class MetricsRegistry;
 class TimeSeriesRecorder;
-class Tracer;
 
 // Unified run report: one recorded run's QoS journal (JSONL), optionally
 // joined with a bench/metrics snapshot (BENCH_*.json, schema >= 2) and a
@@ -23,10 +22,12 @@ class Tracer;
 // shape is an error, not a best-effort parse — because the report is the
 // artifact operators act on.
 struct RunReport {
-  // One journal event on a timeline (hiccups, SLO breaches, rebuild).
+  // One journal event on a timeline; -1 marks an inapplicable id.
   struct TimelineEvent {
     int64_t sim_us = 0;
     int64_t cycle = -1;
+    int64_t disk = -1;
+    int64_t cluster = -1;
     int64_t value = 0;
     std::string kind;
     std::string scheme;
@@ -61,6 +62,7 @@ struct RunReport {
   int64_t horizon_us = 0;  // max sim_us across all events
   std::vector<std::pair<std::string, int64_t>> kind_counts;  // name-sorted
 
+  std::vector<TimelineEvent> events;        // every event, in file order
   std::vector<TimelineEvent> hiccups;       // kind == "hiccups"
   std::vector<TimelineEvent> slo_breaches;  // kind == "slo_breach"
   std::vector<TimelineEvent> rebuild;       // rebuild_{start,progress,done}
@@ -86,27 +88,35 @@ StatusOr<RunReport> LoadRunReport(const std::string& journal_path,
                                   const std::string& timeseries_path);
 
 // Renderers. Markdown is the human artifact (SLO burn, hiccup timeline,
-// rebuild curve, per-subsystem time split); JSON is the machine one. Both
-// are deterministic for identical inputs.
+// rebuild curve, per-subsystem time split); JSON is the machine one. All
+// three are deterministic for identical inputs.
 std::string RenderRunReportMarkdown(const RunReport& report);
 std::string RenderRunReportJson(const RunReport& report);
+
+// The run as a Chrome `traceEvents` timeline on simulated microseconds.
+// Each run of a scheme is one process (a new run starts wherever the
+// scheme's `cycle` steps backwards); every journal event is an instant;
+// each degraded transition (paired first in, first out per cluster) and
+// each rebuild (per disk) is an `X` span on the first track of its
+// cluster or disk free by its start. A start left open closes at its
+// run's last event. Every loaded series is a `C` counter track.
+std::string RenderRunReportChrome(const RunReport& report);
 
 // The sinks a finished run may dump; a null sink (or profile = false) is
 // skipped.
 struct RunDumps {
   const MetricsRegistry* metrics = nullptr;
-  const Tracer* tracer = nullptr;
   const EventJournal* journal = nullptr;
   bool profile = false;  // the global profiler, folded before it is written
   const TimeSeriesRecorder* timeseries = nullptr;
 };
 
 // Writes each sink to the file its environment variable names, in this
-// order: FTMS_METRICS_OUT (Prometheus text), FTMS_TRACE_OUT (Chrome
-// trace), FTMS_QOS_OUT (journal JSONL), FTMS_PROF_OUT (profile tree),
-// FTMS_TIMESERIES_OUT and FTMS_TIMESERIES_CSV. Prints "wrote <path>" to
-// `log` after each write that succeeds; an unset or empty variable, or a
-// failed write, is skipped without a message.
+// order: FTMS_METRICS_OUT (Prometheus text), FTMS_QOS_OUT (journal
+// JSONL), FTMS_PROF_OUT (profile tree), FTMS_TIMESERIES_OUT and
+// FTMS_TIMESERIES_CSV. Prints "wrote <path>" to `log` after each write
+// that succeeds; an unset or empty variable, or a failed write, is
+// skipped without a message.
 void WriteRunDumps(const RunDumps& dumps, std::FILE* log);
 
 }  // namespace ftms

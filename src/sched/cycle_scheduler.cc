@@ -10,13 +10,11 @@
 
 namespace ftms {
 
-// Registry cells and the trace track for one scheduler instance, resolved
-// once at construction so every recording site is a pointer chase plus an
-// atomic add — never a name lookup.
+// Registry cells for one scheduler instance, resolved once at
+// construction so every recording site is a pointer chase plus an atomic
+// add — never a name lookup.
 struct CycleScheduler::Instruments {
   MetricsRegistry* registry = nullptr;
-  Tracer* tracer = nullptr;
-  int32_t tid = -1;
 
   // Hot-path cells (written while the cycle's reads run).
   std::vector<Counter*> cluster_degraded;     // reads that hit a failed disk
@@ -98,25 +96,12 @@ void CycleScheduler::InitInstruments() {
   MetricsRegistry* registry = config_.metrics != nullptr
                                   ? config_.metrics
                                   : MetricsRegistry::GlobalIfEnabled();
-  Tracer* tracer =
-      config_.tracer != nullptr ? config_.tracer : Tracer::GlobalIfEnabled();
-  if (registry == nullptr && tracer == nullptr) return;
+  if (registry == nullptr) return;
 
   instr_ = std::make_unique<Instruments>();
   instr_->registry = registry;
-  instr_->tracer = tracer;
 
   const std::string scheme(SchemeAbbrev(config_.scheme));
-  if (tracer != nullptr) {
-    // One trace track per scheduler instance, so concurrent rigs in one
-    // process land on separate timeline rows.
-    static std::atomic<int> instance{0};
-    instr_->tid = tracer->RegisterTrack(
-        "sched " + scheme + " #" +
-        std::to_string(instance.fetch_add(1, std::memory_order_relaxed)));
-  }
-  if (registry == nullptr) return;
-
   const auto labeled = [&](std::string_view family) {
     return LabeledName(family, {{"scheme", scheme}});
   };
@@ -210,9 +195,9 @@ void CycleScheduler::InitTimeSeries() {
             ? config_.timeseries
             : TimeSeriesRecorder::GlobalIfEnabled();
   if (ts_ == nullptr) return;
-  // Instance-numbered prefix, mirroring the trace-track naming: several
-  // rigs sharing one recorder keep distinct series, and the numbering is
-  // process-deterministic so dumps stay byte-identical across runs.
+  // Instance-numbered prefix: several rigs sharing one recorder keep
+  // distinct series, and the numbering is process-deterministic so dumps
+  // stay byte-identical across runs.
   static std::atomic<int> instance{0};
   ts_prefix_ =
       std::string(SchemeAbbrev(config_.scheme)) + "." +
@@ -241,7 +226,7 @@ double CycleScheduler::CycleSeconds() const {
 StatusOr<StreamId> CycleScheduler::AddStream(const MediaObject& object) {
   const bool servable = object.num_tracks > 0 &&
                         SupportsRate(object.rate_mb_s);
-  if (instr_ != nullptr && instr_->registry != nullptr) {
+  if (instr_ != nullptr) {
     (servable ? instr_->admitted : instr_->admit_rejected)->Add(1);
   }
   if (!servable && journal_ != nullptr) {
@@ -272,14 +257,13 @@ void CycleScheduler::RunCycle() {
   if (instr_ == nullptr) {
     StepCycle();
   } else {
-    const int64_t cycle_start_us = SimTimeMicros();
     const auto wall_start = std::chrono::steady_clock::now();
     StepCycle();
     const double wall_us =
         std::chrono::duration<double, std::micro>(
             std::chrono::steady_clock::now() - wall_start)
             .count();
-    SampleCycleInstruments(cycle_start_us, wall_us);
+    SampleCycleInstruments(wall_us);
   }
   // Pull-model series (registry cells added to the recorder) sample once
   // the instruments hold this cycle, so they line up with the pushes.
@@ -341,34 +325,24 @@ void CycleScheduler::EndCycleQos() {
   }
 }
 
-void CycleScheduler::SampleCycleInstruments(int64_t cycle_start_us,
-                                            double wall_us) {
+void CycleScheduler::SampleCycleInstruments(double wall_us) {
   Instruments& in = *instr_;
-  if (in.registry != nullptr) {
-    for (size_t d = 0; d < slots_used_.size(); ++d) {
-      const int used = slots_used_[d];
-      if (used > 0) in.disk_busy[d]->Add(used);
-      in.queue_depth->Add(static_cast<double>(used));
-    }
-    const SchedulerMetrics& m = metrics_;
-    in.cycles->Add(m.cycles - in.last.cycles);
-    in.data_reads->Add(m.data_reads - in.last.data_reads);
-    in.parity_reads->Add(m.parity_reads - in.last.parity_reads);
-    in.dropped_reads->Add(m.dropped_reads - in.last.dropped_reads);
-    in.tracks_delivered->Add(m.tracks_delivered - in.last.tracks_delivered);
-    in.hiccups->Add(m.hiccups - in.last.hiccups);
-    in.last = m;
-    in.active_streams->Set(static_cast<double>(ActiveStreams()));
-    in.failed_disks->Set(static_cast<double>(disks_->NumFailed()));
-    in.cycle_wall_us->Add(wall_us);
+  for (size_t d = 0; d < slots_used_.size(); ++d) {
+    const int used = slots_used_[d];
+    if (used > 0) in.disk_busy[d]->Add(used);
+    in.queue_depth->Add(static_cast<double>(used));
   }
-  if (in.tracer != nullptr) {
-    in.tracer->Complete(
-        "cycle", "sched", in.tid, cycle_start_us,
-        static_cast<int64_t>(CycleSeconds() * 1e6), "active_streams",
-        static_cast<double>(ActiveStreams()), "failed_disks",
-        static_cast<double>(disks_->NumFailed()));
-  }
+  const SchedulerMetrics& m = metrics_;
+  in.cycles->Add(m.cycles - in.last.cycles);
+  in.data_reads->Add(m.data_reads - in.last.data_reads);
+  in.parity_reads->Add(m.parity_reads - in.last.parity_reads);
+  in.dropped_reads->Add(m.dropped_reads - in.last.dropped_reads);
+  in.tracks_delivered->Add(m.tracks_delivered - in.last.tracks_delivered);
+  in.hiccups->Add(m.hiccups - in.last.hiccups);
+  in.last = m;
+  in.active_streams->Set(static_cast<double>(ActiveStreams()));
+  in.failed_disks->Set(static_cast<double>(disks_->NumFailed()));
+  in.cycle_wall_us->Add(wall_us);
 }
 
 void CycleScheduler::SampleTimeSeries() {
@@ -397,17 +371,6 @@ void CycleScheduler::RunCycles(int n) {
 void CycleScheduler::OnDiskFailed(int disk, bool mid_cycle) {
   disks_->FailDisk(disk).ok();
   if (mid_cycle) mid_cycle_failed_.Add(disk);
-  if (instr_ != nullptr && instr_->tracer != nullptr) {
-    instr_->tracer->Instant("disk_failed", "failure", instr_->tid,
-                            SimTimeMicros(), "disk",
-                            static_cast<double>(disk), "mid_cycle",
-                            mid_cycle ? 1 : 0);
-    // The scheme-specific transition plan (NC's C-cycle shift, IB's
-    // right-shift) is computed inside DoOnDiskFailed; mark its onset.
-    instr_->tracer->Instant("degraded_transition", "failure", instr_->tid,
-                            SimTimeMicros(), "cluster",
-                            static_cast<double>(disks_->ClusterOf(disk)));
-  }
   if (journal_ != nullptr) {
     const int cluster = disks_->ClusterOf(disk);
     QosEvent event;
@@ -435,11 +398,6 @@ void CycleScheduler::OnDiskFailed(int disk, bool mid_cycle) {
 
 void CycleScheduler::OnDiskRepaired(int disk) {
   disks_->RepairDisk(disk).ok();
-  if (instr_ != nullptr && instr_->tracer != nullptr) {
-    instr_->tracer->Instant("disk_repaired", "failure", instr_->tid,
-                            SimTimeMicros(), "disk",
-                            static_cast<double>(disk));
-  }
   if (journal_ != nullptr) {
     const int cluster = disks_->ClusterOf(disk);
     QosEvent event;
@@ -468,27 +426,19 @@ void CycleScheduler::OnDiskRepaired(int disk) {
 }
 
 void CycleScheduler::CountReconstruction(int cluster, int64_t n) {
-  if (instr_ != nullptr && instr_->registry != nullptr) {
+  if (instr_ != nullptr) {
     instr_->cluster_reconstruct[static_cast<size_t>(cluster)]->Add(n);
   }
 }
 
 void CycleScheduler::CountDegradedRead(int cluster, int64_t n) {
-  if (instr_ != nullptr && instr_->registry != nullptr) {
+  if (instr_ != nullptr) {
     instr_->cluster_degraded[static_cast<size_t>(cluster)]->Add(n);
   }
 }
 
 MetricsRegistry* CycleScheduler::metrics_registry() const {
   return instr_ != nullptr ? instr_->registry : nullptr;
-}
-
-Tracer* CycleScheduler::tracer() const {
-  return instr_ != nullptr ? instr_->tracer : nullptr;
-}
-
-int32_t CycleScheduler::trace_tid() const {
-  return instr_ != nullptr ? instr_->tid : -1;
 }
 
 Status CycleScheduler::PauseStream(StreamId id) {

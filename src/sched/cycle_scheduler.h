@@ -17,7 +17,6 @@
 #include "util/metrics.h"
 #include "util/status.h"
 #include "util/timeseries.h"
-#include "util/trace_event.h"
 
 namespace ftms {
 
@@ -71,18 +70,17 @@ struct SchedulerConfig {
   // failure, so streams admitted beyond the single-copy capacity drop.
   bool ib_mirror_read_balance = false;
 
-  // Observability sinks. Null uses the process-wide instances, which are
-  // themselves off unless FTMS_METRICS=1 / FTMS_TRACE=1 — so by default
-  // every instrumentation site reduces to one untaken branch. Tests and
-  // embedders pass private instances for isolation. Exported counters are
-  // deterministic (see DESIGN.md "Observability"); only wall-clock
-  // histograms and trace args are timing-dependent.
+  // Metrics sink. Null uses the process-wide registry, which is itself
+  // off unless FTMS_METRICS=1 — so by default every instrumentation site
+  // reduces to one untaken branch. Tests and embedders pass a private
+  // registry for isolation. Exported counters are deterministic (see
+  // DESIGN.md "Observability"); only the wall-clock histogram is
+  // timing-dependent.
   MetricsRegistry* metrics = nullptr;
-  Tracer* tracer = nullptr;
 
   // QoS sinks. A null journal falls back to the process-wide journal,
   // which is off unless FTMS_QOS=1 — same zero-cost-off contract as the
-  // registry/tracer above. The ledger is per-scheduler state (it
+  // registry above. The ledger is per-scheduler state (it
   // attributes hiccups and degraded exposure to THIS scheduler's
   // streams), so with FTMS_QOS=1 and no injected ledger the scheduler
   // owns a private one, reachable via qos_ledger(). Both are fed at
@@ -171,7 +169,7 @@ class CycleScheduler {
   int64_t cycle() const { return cycle_; }
   double CycleSeconds() const;
   // Simulated time at the START of the upcoming cycle, in microseconds
-  // (the trace-event timeline clock).
+  // (the journal's and time series' clock).
   int64_t SimTimeMicros() const {
     return static_cast<int64_t>(static_cast<double>(cycle_) *
                                 CycleSeconds() * 1e6);
@@ -181,13 +179,10 @@ class CycleScheduler {
   const SchedulerConfig& config() const { return config_; }
   const BufferPool& buffer_pool() const { return pool_; }
 
-  // Resolved observability sinks: config's pointer, else the globally
+  // Resolved metrics registry: config's pointer, else the globally
   // enabled instance, else null (= instrumentation off). RebuildManager
-  // attaches its own series through these.
+  // registers its own cells through it.
   MetricsRegistry* metrics_registry() const;
-  Tracer* tracer() const;
-  // Tracer track this scheduler's spans render on; -1 when tracing is off.
-  int32_t trace_tid() const;
   // Resolved QoS sinks; null when QoS observability is off.
   EventJournal* journal() const { return journal_; }
   QosLedger* qos_ledger() const { return ledger_; }
@@ -352,9 +347,9 @@ class CycleScheduler {
   SchedulerMetrics metrics_;
 
  private:
-  // Per-disk / per-cluster registry cells and trace track, resolved once
-  // at construction (see cycle_scheduler.cc). Null when both sinks are
-  // off, which is what makes the hot-path checks single branches.
+  // Per-disk / per-cluster registry cells, resolved once at construction
+  // (see cycle_scheduler.cc). Null when the registry is off, which is
+  // what makes the hot-path checks single branches.
   struct Instruments;
 
   // One cycle without the wall-clock instrumentation around it.
@@ -369,8 +364,8 @@ class CycleScheduler {
   // events, the ledger's per-stream exposure/SLO pass.
   void EndCycleQos();
   // End-of-cycle sampling: per-disk busy slots, queue-depth and
-  // cycle-duration histograms, gauges, counter deltas, the cycle span.
-  void SampleCycleInstruments(int64_t cycle_start_us, double wall_us);
+  // cycle-duration histograms, gauges, counter deltas.
+  void SampleCycleInstruments(double wall_us);
   BufferPool pool_;  // unlimited; measures occupancy / peak
   int64_t pending_acquire_ = 0;
   int64_t pending_release_ = 0;

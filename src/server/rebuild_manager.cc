@@ -45,10 +45,6 @@ void RebuildManager::InitInstruments() {
                     {{"scheme", scheme}}),
         "Bytes of track data regenerated through the parity datapath");
   }
-  tracer_ = scheduler_->tracer();
-  if (tracer_ != nullptr) {
-    trace_tid_ = tracer_->RegisterTrack("rebuild");
-  }
   journal_ = scheduler_->journal();
   ts_ = scheduler_->timeseries_recorder();
   if (ts_ != nullptr) {
@@ -127,13 +123,8 @@ Status RebuildManager::StartRebuild(int disk) {
   tracks_rebuilt_ = 0;
   tracks_total_ = disks_->params().TracksPerDisk();
   cycles_elapsed_ = 0;
-  start_sim_us_ = scheduler_->SimTimeMicros();
   last_progress_quarter_ = 0;
   if (progress_gauge_ != nullptr) progress_gauge_->Set(0.0);
-  if (tracer_ != nullptr) {
-    tracer_->Instant("rebuild_start", "rebuild", trace_tid_, start_sim_us_,
-                     "disk", disk, "tracks_total", tracks_total_);
-  }
   if (journal_ != nullptr) {
     journal_->Append(
         JournalEvent(QosEventKind::kRebuildStart, disk, tracks_total_));
@@ -211,14 +202,6 @@ void RebuildManager::AdvanceOneCycle() {
     if (journal_ != nullptr) {
       journal_->Append(JournalEvent(QosEventKind::kRebuildDone, rebuilt_disk,
                                     cycles_elapsed_));
-    }
-    if (tracer_ != nullptr) {
-      // The whole rebuild as one span, from StartRebuild to now.
-      const int64_t end_us = scheduler_->SimTimeMicros();
-      tracer_->Complete("rebuild", "rebuild", trace_tid_, start_sim_us_,
-                        std::max<int64_t>(1, end_us - start_sim_us_),
-                        "disk", rebuilt_disk, "cycles",
-                        static_cast<double>(cycles_elapsed_));
     }
   } else if (progress_gauge_ != nullptr) {
     progress_gauge_->Set(Progress());

@@ -88,8 +88,8 @@ class RebuildManager {
   // Reconstructs and verifies up to `budget` pending tracks in one
   // batched datapath call.
   void ReconstructDataTracks(int budget);
-  // Resolves registry cells / the trace track from the scheduler's
-  // observability sinks (no-op when instrumentation is off).
+  // Resolves registry cells, the journal and the progress series from
+  // the scheduler's observability sinks (no-op when they are off).
   void InitInstruments();
   QosEvent JournalEvent(QosEventKind kind, int disk, int64_t value) const;
 
@@ -119,9 +119,9 @@ class RebuildManager {
   int64_t data_mismatches_ = 0;
   Counter* data_bytes_counter_ = nullptr;
 
-  // Observability (null = off). The whole rebuild renders as one span on
-  // its own trace track, from StartRebuild to completion, in SimTime;
-  // the journal gets start / quarter-progress / done events.
+  // Observability (null = off). The journal gets start /
+  // quarter-progress / done events, which `ftms report --chrome` renders
+  // as one span per rebuild.
   EventJournal* journal_ = nullptr;
   int last_progress_quarter_ = 0;
   Counter* tracks_counter_ = nullptr;
@@ -129,9 +129,6 @@ class RebuildManager {
   Counter* stalled_cycles_counter_ = nullptr;
   Gauge* progress_gauge_ = nullptr;
   HistogramCell* tracks_per_cycle_hist_ = nullptr;
-  Tracer* tracer_ = nullptr;
-  int32_t trace_tid_ = -1;
-  int64_t start_sim_us_ = 0;
   TimeSeriesRecorder* ts_ = nullptr;
   int ts_progress_ = -1;
 };

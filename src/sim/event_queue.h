@@ -173,7 +173,8 @@ class EventCallback {
 
   void (*invoke_)(EventCallback*) = nullptr;
   void (*dispose_)(EventCallback*) = nullptr;
-  Storage storage_;
+  // Zeroed so a move copies defined bytes past a small capture.
+  Storage storage_{};
 };
 
 // One pending event: absolute time, FIFO tie-break sequence, callback.

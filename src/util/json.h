@@ -69,8 +69,8 @@ class JsonValue {
   friend class JsonParser;
 };
 
-// The one output writer every exporter shares (registry, trace, journal,
-// ledger, time series, profiler, run report, telemetry).
+// The one output writer every exporter shares (registry, journal, ledger,
+// time series, profiler, run report and timeline, telemetry).
 
 // Appends `s` as a quoted JSON string: `"` `\` `\n` `\t` get their short
 // escapes, every other byte below 0x20 becomes \u00XX, all other bytes

@@ -224,88 +224,74 @@ size_t MetricsRegistry::size() const {
 std::string MetricsRegistry::PrometheusText() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
+  const auto family_head = [&out](std::string_view family,
+                                  std::string_view help,
+                                  std::string_view kind) {
+    if (!help.empty()) {
+      out.append("# HELP ").append(family).append(" ").append(help);
+      out += '\n';
+    }
+    out.append("# TYPE ").append(family).append(" ").append(kind);
+    out += '\n';
+  };
+  const auto sample = [&out](std::string_view name, double value) {
+    out.append(name).append(" ");
+    AppendTextNumber(&out, value, 9);
+    out += '\n';
+  };
   std::string_view last_family;
   // Histogram quantile summaries, grouped by suffixed family so each
-  // emits exactly one TYPE line (they are separate gauge families and
-  // must not appear under the histogram family's TYPE).
-  std::map<std::string, std::vector<std::pair<std::string, double>>>
-      quantile_families;
+  // emits exactly one HELP and TYPE line (they are separate gauge
+  // families and must not appear under the histogram family's TYPE).
+  struct QuantileFamily {
+    std::string help;  // the histogram's, with the quantile appended
+    std::vector<std::pair<std::string, double>> samples;
+  };
+  std::map<std::string, QuantileFamily> quantile_families;
   for (const auto& [name, metric] : metrics_) {
     const std::string_view family = FamilyOf(name);
     if (family != last_family) {
       last_family = family;
-      if (!metric.help.empty()) {
-        out += "# HELP ";
-        out += family;
-        out += ' ';
-        out += metric.help;
-        out += '\n';
-      }
-      out += "# TYPE ";
-      out += family;
-      out += ' ';
-      out += KindName(metric.kind);
-      out += '\n';
+      family_head(family, metric.help, KindName(metric.kind));
     }
     switch (metric.kind) {
       case MetricKind::kCounter:
-        out += name;
-        out += ' ';
-        AppendTextNumber(&out, static_cast<double>(metric.counter->value()),
-                         9);
-        out += '\n';
+        sample(name, static_cast<double>(metric.counter->value()));
         break;
       case MetricKind::kGauge:
-        out += name;
-        out += ' ';
-        AppendTextNumber(&out, metric.gauge->value(), 9);
-        out += '\n';
+        sample(name, metric.gauge->value());
         break;
       case MetricKind::kHistogram: {
         const HistogramCell& h = *metric.histogram;
+        const std::string bucket = WithSuffix(name, "_bucket");
         int64_t cum = 0;
         for (int i = 0; i < h.num_buckets(); ++i) {
           cum += h.bucket(i);
-          out += WithLabel(WithSuffix(name, "_bucket"), "le",
-                           FormatEdge(h.bucket_upper(i)));
-          out += ' ';
-          AppendTextNumber(&out, static_cast<double>(cum), 9);
-          out += '\n';
+          sample(WithLabel(bucket, "le", FormatEdge(h.bucket_upper(i))),
+                 static_cast<double>(cum));
         }
-        out += WithLabel(WithSuffix(name, "_bucket"), "le", "+Inf");
-        out += ' ';
-        AppendTextNumber(&out, static_cast<double>(h.count()), 9);
-        out += '\n';
-        out += WithSuffix(name, "_sum");
-        out += ' ';
-        AppendTextNumber(&out, h.sum(), 9);
-        out += '\n';
-        out += WithSuffix(name, "_count");
-        out += ' ';
-        AppendTextNumber(&out, static_cast<double>(h.count()), 9);
-        out += '\n';
+        sample(WithLabel(bucket, "le", "+Inf"), static_cast<double>(h.count()));
+        sample(WithSuffix(name, "_sum"), h.sum());
+        sample(WithSuffix(name, "_count"), static_cast<double>(h.count()));
         for (const auto& [suffix, q] :
              {std::pair<const char*, double>{"_p50", 0.5},
               {"_p90", 0.9},
               {"_p99", 0.99}}) {
-          const std::string sample = WithSuffix(name, suffix);
-          quantile_families[std::string(FamilyOf(sample))].emplace_back(
-              sample, h.Quantile(q));
+          const std::string quantile = WithSuffix(name, suffix);
+          QuantileFamily& qf =
+              quantile_families[std::string(FamilyOf(quantile))];
+          if (qf.samples.empty() && !metric.help.empty()) {
+            qf.help = metric.help + " (" + (suffix + 1) + ")";
+          }
+          qf.samples.emplace_back(quantile, h.Quantile(q));
         }
         break;
       }
     }
   }
-  for (const auto& [family, samples] : quantile_families) {
-    out += "# TYPE ";
-    out += family;
-    out += " gauge\n";
-    for (const auto& [sample, value] : samples) {
-      out += sample;
-      out += ' ';
-      AppendTextNumber(&out, value, 9);
-      out += '\n';
-    }
+  for (const auto& [family, qf] : quantile_families) {
+    family_head(family, qf.help, "gauge");
+    for (const auto& [name, value] : qf.samples) sample(name, value);
   }
   return out;
 }

@@ -1,20 +1,25 @@
 // End-to-end instrumentation test: an instrumented failure + degraded +
 // rebuild run publishes a complete, correctly-attributed picture into a
-// private MetricsRegistry and Tracer, and does so deterministically.
+// private MetricsRegistry, and its journal and time series render as one
+// timeline, deterministically.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "layout/schemes.h"
+#include "qos/event_journal.h"
+#include "qos/run_report.h"
 #include "server/rebuild_manager.h"
 #include "telemetry/telemetry_server.h"
 #include "tests/sched_test_util.h"
+#include "util/json.h"
 #include "util/metrics.h"
-#include "util/trace_event.h"
+#include "util/timeseries.h"
 
 namespace ftms {
 namespace {
@@ -22,12 +27,9 @@ namespace {
 constexpr int kFailedDisk = 1;  // cluster 0 with 10 disks, C = 5
 
 // Runs the canonical scenario: warm-up, disk failure, degraded service,
-// rebuild to completion, cooldown. Returns the rig for extra checks.
-SchedRig RunFailureRebuildScenario(Scheme scheme, MetricsRegistry* registry,
-                                   Tracer* tracer) {
-  RigOptions options;
-  options.metrics = registry;
-  options.tracer = tracer;
+// rebuild to completion, cooldown, publishing into the sinks `options`
+// names. Returns the rig for extra checks.
+SchedRig RunFailureRebuildScenario(Scheme scheme, RigOptions options) {
   // 50-track disks so the idle-slot rebuild finishes quickly even for the
   // short-cycle schemes (SG/NC have ~12 rebuild slots per cycle).
   options.disk_capacity_mb = 2.5;
@@ -57,8 +59,13 @@ class ObservabilityTest : public ::testing::TestWithParam<Scheme> {};
 TEST_P(ObservabilityTest, FailureRebuildRunIsFullyInstrumented) {
   const Scheme scheme = GetParam();
   MetricsRegistry registry;
-  Tracer tracer(4096);
-  SchedRig rig = RunFailureRebuildScenario(scheme, &registry, &tracer);
+  EventJournal journal(0);
+  TimeSeriesRecorder timeseries;
+  RigOptions options;
+  options.metrics = &registry;
+  options.journal = &journal;
+  options.timeseries = &timeseries;
+  SchedRig rig = RunFailureRebuildScenario(scheme, options);
   const std::string abbrev(SchemeAbbrev(scheme));
 
   // Per-disk utilization series covers EVERY disk of the farm, and the
@@ -115,57 +122,71 @@ TEST_P(ObservabilityTest, FailureRebuildRunIsFullyInstrumented) {
   ASSERT_NE(progress, nullptr);
   EXPECT_DOUBLE_EQ(progress->value(), 1.0);
 
-  // The timeline: cycle spans, the failure instant, the rebuild span.
-  const auto events = tracer.Snapshot();
-  ASSERT_FALSE(events.empty());
-  int cycle_spans = 0;
-  bool saw_failure = false, saw_rebuild_span = false, saw_transition = false;
-  for (const auto& e : events) {
-    const std::string name(e.name);
-    if (name == "cycle" && e.phase == 'X') ++cycle_spans;
-    if (name == "disk_failed" && e.phase == 'i') saw_failure = true;
-    if (name == "degraded_transition") saw_transition = true;
-    if (name == "rebuild" && e.phase == 'X') saw_rebuild_span = true;
+  // The timeline, rendered from the journal and time series the run
+  // recorded: the failure instant, the transition span, the rebuild span
+  // and the active-streams counter track.
+  const std::string base =
+      ::testing::TempDir() + "/observability_test_" + abbrev;
+  ASSERT_TRUE(journal.WriteJsonl(base + ".jsonl").ok());
+  ASSERT_TRUE(timeseries.WriteJson(base + "_ts.json").ok());
+  const StatusOr<RunReport> report =
+      LoadRunReport(base + ".jsonl", "", base + "_ts.json");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const StatusOr<JsonValue> trace =
+      JsonValue::Parse(RenderRunReportChrome(*report));
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  const JsonValue* events = trace->Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  const std::string streams =
+      "sched." + rig.sched->timeseries_prefix() + ".active_streams";
+  bool saw_failure = false, saw_transition = false;
+  int rebuild_spans = 0;
+  size_t streams_samples = 0;
+  std::map<std::pair<int64_t, int64_t>,
+           std::vector<std::pair<int64_t, int64_t>>>
+      spans;  // by (pid, tid)
+  for (const JsonValue& e : events->items()) {
+    const std::string& name = e.Find("name")->AsString();
+    const std::string& ph = e.Find("ph")->AsString();
+    if (name == "disk_failed" && ph == "i") saw_failure = true;
+    if (name == "degraded_transition" && ph == "X") saw_transition = true;
+    if (name == "rebuild" && ph == "X") ++rebuild_spans;
+    if (name == streams && ph == "C") ++streams_samples;
+    if (ph == "X") {
+      const int64_t ts = e.Find("ts")->AsInt();
+      spans[{e.Find("pid")->AsInt(), e.Find("tid")->AsInt()}].emplace_back(
+          ts, ts + e.Find("dur")->AsInt());
+    }
   }
-  EXPECT_EQ(cycle_spans, rig.sched->cycle());
   EXPECT_TRUE(saw_failure);
   EXPECT_TRUE(saw_transition);
-  EXPECT_TRUE(saw_rebuild_span);
+  EXPECT_EQ(rebuild_spans, 1);
+  EXPECT_EQ(streams_samples, timeseries.SeriesPoints(streams).size());
+  EXPECT_GT(streams_samples, 0u);
 
   // Monotone span nesting per track: sorted by start, every span either
   // starts at-or-after the previous span's end or nests inside it.
-  std::map<int32_t, std::vector<std::pair<int64_t, int64_t>>> spans;
-  for (const auto& e : events) {
-    if (e.phase == 'X') {
-      spans[e.tid].emplace_back(e.ts_us, e.ts_us + e.dur_us);
-    }
-  }
-  EXPECT_GE(spans.size(), 2u);  // scheduler track + rebuild track
-  for (auto& [tid, list] : spans) {
+  EXPECT_GE(spans.size(), 2u);  // transition track + rebuild track
+  for (auto& [track, list] : spans) {
     std::sort(list.begin(), list.end());
     std::vector<int64_t> open;  // stack of enclosing span ends
     for (const auto& [start, end] : list) {
       while (!open.empty() && start >= open.back()) open.pop_back();
       EXPECT_TRUE(open.empty() || end <= open.back())
-          << "partial overlap on track " << tid;
+          << "partial overlap on track " << track.first << "/"
+          << track.second;
       open.push_back(end);
     }
   }
-
-  // The Chrome export is non-trivial and structurally sound.
-  const std::string json = tracer.ToChromeJson();
-  EXPECT_NE(json.find("\"traceEvents\": ["), std::string::npos);
-  EXPECT_NE(json.find("\"disk_failed\""), std::string::npos);
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-  EXPECT_EQ(std::count(json.begin(), json.end(), '['),
-            std::count(json.begin(), json.end(), ']'));
 }
 
 TEST_P(ObservabilityTest, MetricsAreRepeatable) {
   MetricsRegistry first, second;
-  RunFailureRebuildScenario(GetParam(), &first, nullptr);
-  RunFailureRebuildScenario(GetParam(), &second, nullptr);
+  RigOptions options;
+  options.metrics = &first;
+  RunFailureRebuildScenario(GetParam(), options);
+  options.metrics = &second;
+  RunFailureRebuildScenario(GetParam(), options);
   EXPECT_EQ(DeterministicText(first), DeterministicText(second));
 }
 
@@ -229,9 +250,12 @@ TEST(PrometheusExpositionTest, HelpLinesPrecedeTypeLines) {
 
 TEST(PrometheusExpositionTest, ScenarioRegistryCarriesHelpText) {
   // The real registration sites thread help strings through: a full
-  // failure + rebuild scenario's registry documents its key families.
+  // failure + rebuild scenario's registry documents every family it
+  // exports, histogram quantile gauges included.
   MetricsRegistry registry;
-  RunFailureRebuildScenario(Scheme::kStreamingRaid, &registry, nullptr);
+  RigOptions options;
+  options.metrics = &registry;
+  RunFailureRebuildScenario(Scheme::kStreamingRaid, options);
   const std::string text = registry.PrometheusText();
   for (const char* family :
        {"ftms_rebuild_tracks_rebuilt_total", "ftms_rebuilds_completed_total",
@@ -240,6 +264,20 @@ TEST(PrometheusExpositionTest, ScenarioRegistryCarriesHelpText) {
               std::string::npos)
         << "missing # HELP for " << family;
   }
+  std::istringstream lines(text);
+  std::string line, help_family;
+  int typed = 0;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      const std::string family = line.substr(7, line.find(' ', 7) - 7);
+      EXPECT_EQ(help_family, family) << "no # HELP before " << line;
+      ++typed;
+    }
+    help_family = line.rfind("# HELP ", 0) == 0
+                      ? line.substr(7, line.find(' ', 7) - 7)
+                      : "";
+  }
+  EXPECT_GT(typed, 0);
 }
 
 TEST(PrometheusExpositionTest, ScrapeContentTypeIsExpositionV0_0_4) {
@@ -265,15 +303,12 @@ TEST(ObservabilityOffTest, UninstrumentedSchedulerTouchesNoGlobalState) {
   // With no config override and the global sinks disabled, a full run
   // registers nothing anywhere.
   ASSERT_EQ(MetricsRegistry::GlobalIfEnabled(), nullptr);
-  ASSERT_EQ(Tracer::GlobalIfEnabled(), nullptr);
   const size_t global_before = MetricsRegistry::Global().size();
   SchedRig rig = MakeRig(Scheme::kStreamingRaid, 5, 10);
   rig.sched->AddStream(TestObject(0, 16)).value();
   for (int i = 0; i < 4; ++i) rig.sched->RunCycle();
   EXPECT_EQ(MetricsRegistry::Global().size(), global_before);
   EXPECT_EQ(rig.sched->metrics_registry(), nullptr);
-  EXPECT_EQ(rig.sched->tracer(), nullptr);
-  EXPECT_EQ(rig.sched->trace_tid(), -1);
 }
 
 }  // namespace

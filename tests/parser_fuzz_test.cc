@@ -171,8 +171,8 @@ TEST(ParserFuzzTest, HttpHeadAndUrlParsersReturnValueOrError) {
 }
 
 // Loads a report with one input mutated and the other two taken from
-// their seed corpora; a report that loads must render, and its JSON
-// rendering must parse.
+// their seed corpora; a report that loads must render, and its JSON and
+// Chrome renderings must parse.
 TEST(ParserFuzzTest, RunReportLoadersAndRenderersReturnValueOrError) {
   const std::vector<std::string> corpora[] = {
       LoadCorpus("journal"), LoadCorpus("metrics"), LoadCorpus("timeseries")};
@@ -202,6 +202,10 @@ TEST(ParserFuzzTest, RunReportLoadersAndRenderersReturnValueOrError) {
       const std::string json = RenderRunReportJson(*report);
       ASSERT_TRUE(JsonValue::Parse(json).ok())
           << json << "\n"
+          << Printable(ReadFile(paths[input]));
+      const std::string chrome = RenderRunReportChrome(*report);
+      ASSERT_TRUE(JsonValue::Parse(chrome).ok())
+          << chrome << "\n"
           << Printable(ReadFile(paths[input]));
     }
   }

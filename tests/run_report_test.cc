@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <compare>
 #include <cstdio>
+#include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/json.h"
 
@@ -158,6 +163,266 @@ TEST(RunReportTest, GoldenMarkdownForDualFailureDrill) {
       "- t=7.200s rebuild_progress percent=96\n"
       "- t=7.467s rebuild_done cycles=5\n";
   EXPECT_EQ(RenderRunReportMarkdown(*report), expected);
+}
+
+// The Chrome timeline contract, pinned like the Markdown one: one
+// instant per journal event, one span per degraded transition and per
+// rebuild, on simulated microseconds.
+constexpr char kDrillChrome[] = R"({
+"displayTimeUnit": "ms",
+"otherData": {"clock": "sim_us"},
+"traceEvents": [
+{"name": "process_name", "cat": "__metadata", "ph": "M", "pid": 1, "tid": 0, "ts": 0, "args": {"name": "SR run 1"}},
+{"name": "thread_name", "cat": "__metadata", "ph": "M", "pid": 1, "tid": 0, "ts": 0, "args": {"name": "journal"}},
+{"name": "disk_failed", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 6400000, "args": {"cycle": 8, "disk": 0, "cluster": 0, "value": 1}},
+{"name": "degraded_transition_start", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 6400000, "args": {"cycle": 8, "disk": -1, "cluster": 0, "value": 4}},
+{"name": "degraded_transition_end", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 10400000, "args": {"cycle": 12, "disk": -1, "cluster": 0, "value": 0}},
+{"name": "thread_name", "cat": "__metadata", "ph": "M", "pid": 1, "tid": 1, "ts": 0, "args": {"name": "degraded_transition cluster 0"}},
+{"name": "degraded_transition", "cat": "degraded_transition", "ph": "X", "pid": 1, "tid": 1, "ts": 6400000, "dur": 4000000, "args": {"cluster": 0, "start_cycle": 8, "end_cycle": 12}},
+{"name": "rebuild_start", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 10400000, "args": {"cycle": 13, "disk": 0, "cluster": 0, "value": 50}},
+{"name": "rebuild_progress", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 11200000, "args": {"cycle": 14, "disk": 0, "cluster": 0, "value": 76}},
+{"name": "disk_repaired", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 12000000, "args": {"cycle": 15, "disk": 0, "cluster": 0, "value": 0}},
+{"name": "rebuild_done", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 12000000, "args": {"cycle": 15, "disk": 0, "cluster": 0, "value": 2}},
+{"name": "thread_name", "cat": "__metadata", "ph": "M", "pid": 1, "tid": 2, "ts": 0, "args": {"name": "rebuild disk 0"}},
+{"name": "rebuild", "cat": "rebuild", "ph": "X", "pid": 1, "tid": 2, "ts": 10400000, "dur": 1600000, "args": {"disk": 0, "start_cycle": 13, "end_cycle": 15}}
+]
+}
+)";
+
+TEST(RunReportTest, GoldenChromeForDrillJournal) {
+  const std::string path = WriteTempFile("golden_chrome.jsonl", kDrillJournal);
+  const auto report = LoadRunReport(path, "", "");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(RenderRunReportChrome(*report), kDrillChrome);
+}
+
+// The two transitions overlap, so the second takes a second track.
+constexpr char kDualFailureChrome[] = R"({
+"displayTimeUnit": "ms",
+"otherData": {"clock": "sim_us"},
+"traceEvents": [
+{"name": "process_name", "cat": "__metadata", "ph": "M", "pid": 1, "tid": 0, "ts": 0, "args": {"name": "SR2 run 1"}},
+{"name": "thread_name", "cat": "__metadata", "ph": "M", "pid": 1, "tid": 0, "ts": 0, "args": {"name": "journal"}},
+{"name": "disk_failed", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 3200000, "args": {"cycle": 12, "disk": 0, "cluster": 0, "value": 1}},
+{"name": "degraded_transition_start", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 3200000, "args": {"cycle": 12, "disk": -1, "cluster": 0, "value": 4}},
+{"name": "disk_failed", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 3466666, "args": {"cycle": 13, "disk": 1, "cluster": 0, "value": 1}},
+{"name": "degraded_transition_start", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 3466666, "args": {"cycle": 13, "disk": -1, "cluster": 0, "value": 4}},
+{"name": "degraded_transition_end", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 4533333, "args": {"cycle": 16, "disk": -1, "cluster": 0, "value": 0}},
+{"name": "thread_name", "cat": "__metadata", "ph": "M", "pid": 1, "tid": 1, "ts": 0, "args": {"name": "degraded_transition cluster 0"}},
+{"name": "degraded_transition", "cat": "degraded_transition", "ph": "X", "pid": 1, "tid": 1, "ts": 3200000, "dur": 1333333, "args": {"cluster": 0, "start_cycle": 12, "end_cycle": 16}},
+{"name": "degraded_transition_end", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 4800000, "args": {"cycle": 17, "disk": -1, "cluster": 0, "value": 0}},
+{"name": "thread_name", "cat": "__metadata", "ph": "M", "pid": 1, "tid": 2, "ts": 0, "args": {"name": "degraded_transition cluster 0 #2"}},
+{"name": "degraded_transition", "cat": "degraded_transition", "ph": "X", "pid": 1, "tid": 2, "ts": 3466666, "dur": 1333334, "args": {"cluster": 0, "start_cycle": 13, "end_cycle": 17}},
+{"name": "rebuild_start", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 4800000, "args": {"cycle": 18, "disk": 0, "cluster": 0, "value": 50}},
+{"name": "rebuild_progress", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 5333333, "args": {"cycle": 20, "disk": 0, "cluster": 0, "value": 48}},
+{"name": "rebuild_progress", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 5600000, "args": {"cycle": 21, "disk": 0, "cluster": 0, "value": 72}},
+{"name": "rebuild_progress", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 5866666, "args": {"cycle": 22, "disk": 0, "cluster": 0, "value": 96}},
+{"name": "disk_repaired", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 6133333, "args": {"cycle": 23, "disk": 0, "cluster": 0, "value": 0}},
+{"name": "rebuild_done", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 6133333, "args": {"cycle": 23, "disk": 0, "cluster": 0, "value": 5}},
+{"name": "thread_name", "cat": "__metadata", "ph": "M", "pid": 1, "tid": 3, "ts": 0, "args": {"name": "rebuild disk 0"}},
+{"name": "rebuild", "cat": "rebuild", "ph": "X", "pid": 1, "tid": 3, "ts": 4800000, "dur": 1333333, "args": {"disk": 0, "start_cycle": 18, "end_cycle": 23}},
+{"name": "rebuild_start", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 6133333, "args": {"cycle": 23, "disk": 1, "cluster": 0, "value": 50}},
+{"name": "rebuild_progress", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 6666666, "args": {"cycle": 25, "disk": 1, "cluster": 0, "value": 48}},
+{"name": "rebuild_progress", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 6933333, "args": {"cycle": 26, "disk": 1, "cluster": 0, "value": 72}},
+{"name": "rebuild_progress", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 7200000, "args": {"cycle": 27, "disk": 1, "cluster": 0, "value": 96}},
+{"name": "disk_repaired", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 7466666, "args": {"cycle": 28, "disk": 1, "cluster": 0, "value": 0}},
+{"name": "rebuild_done", "cat": "journal", "ph": "i", "pid": 1, "tid": 0, "ts": 7466666, "args": {"cycle": 28, "disk": 1, "cluster": 0, "value": 5}},
+{"name": "thread_name", "cat": "__metadata", "ph": "M", "pid": 1, "tid": 4, "ts": 0, "args": {"name": "rebuild disk 1"}},
+{"name": "rebuild", "cat": "rebuild", "ph": "X", "pid": 1, "tid": 4, "ts": 6133333, "dur": 1333333, "args": {"disk": 1, "start_cycle": 23, "end_cycle": 28}}
+]
+}
+)";
+
+TEST(RunReportTest, GoldenChromeForDualFailureDrill) {
+  const std::string path =
+      WriteTempFile("golden_chrome_sr2.jsonl", kDualFailureJournal);
+  const auto report = LoadRunReport(path, "", "");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(RenderRunReportChrome(*report), kDualFailureChrome);
+}
+
+// A recorded NC-2 double-failure drill (`ftms qos nc2`): cluster 0's two
+// degraded transitions run from cycle 8 to 13 and from 9 to 14.
+constexpr char kNc2Journal[] =
+    R"({"kind":"disk_failed","scheme":"NC2","sim_us":2133333,"cycle":8,"disk":0,"cluster":0,"stream":-1,"value":1}
+{"kind":"degraded_transition_start","scheme":"NC2","sim_us":2133333,"cycle":8,"disk":-1,"cluster":0,"stream":-1,"value":5}
+{"kind":"disk_failed","scheme":"NC2","sim_us":2400000,"cycle":9,"disk":1,"cluster":0,"stream":-1,"value":1}
+{"kind":"degraded_transition_start","scheme":"NC2","sim_us":2400000,"cycle":9,"disk":-1,"cluster":0,"stream":-1,"value":5}
+{"kind":"degraded_transition_end","scheme":"NC2","sim_us":3733333,"cycle":13,"disk":-1,"cluster":0,"stream":-1,"value":0}
+{"kind":"degraded_transition_end","scheme":"NC2","sim_us":4000000,"cycle":14,"disk":-1,"cluster":0,"stream":-1,"value":0}
+{"kind":"rebuild_start","scheme":"NC2","sim_us":4000000,"cycle":15,"disk":0,"cluster":0,"stream":-1,"value":50}
+{"kind":"rebuild_progress","scheme":"NC2","sim_us":4533333,"cycle":17,"disk":0,"cluster":0,"stream":-1,"value":46}
+{"kind":"rebuild_progress","scheme":"NC2","sim_us":4800000,"cycle":18,"disk":0,"cluster":0,"stream":-1,"value":70}
+{"kind":"rebuild_progress","scheme":"NC2","sim_us":5066666,"cycle":19,"disk":0,"cluster":0,"stream":-1,"value":90}
+{"kind":"disk_repaired","scheme":"NC2","sim_us":5333333,"cycle":20,"disk":0,"cluster":0,"stream":-1,"value":0}
+{"kind":"rebuild_done","scheme":"NC2","sim_us":5333333,"cycle":20,"disk":0,"cluster":0,"stream":-1,"value":5}
+{"kind":"rebuild_start","scheme":"NC2","sim_us":5333333,"cycle":20,"disk":1,"cluster":0,"stream":-1,"value":50}
+{"kind":"rebuild_progress","scheme":"NC2","sim_us":5866666,"cycle":22,"disk":1,"cluster":0,"stream":-1,"value":44}
+{"kind":"rebuild_progress","scheme":"NC2","sim_us":6133333,"cycle":23,"disk":1,"cluster":0,"stream":-1,"value":66}
+{"kind":"rebuild_progress","scheme":"NC2","sim_us":6400000,"cycle":24,"disk":1,"cluster":0,"stream":-1,"value":88}
+{"kind":"disk_repaired","scheme":"NC2","sim_us":6666666,"cycle":25,"disk":1,"cluster":0,"stream":-1,"value":0}
+{"kind":"rebuild_done","scheme":"NC2","sim_us":6666666,"cycle":25,"disk":1,"cluster":0,"stream":-1,"value":5}
+)";
+
+// A journal cut by its ring cap while two IB rigs appended to it: the
+// first rig's transition start was evicted, the second rig stopped in the
+// middle of its transition and of its rebuild, and the footer counts the
+// evicted events.
+constexpr char kTruncatedTwoRigJournal[] =
+    R"({"kind":"degraded_transition_end","scheme":"IB","sim_us":38400000,"cycle":35,"disk":-1,"cluster":0,"stream":-1,"value":0}
+{"kind":"hiccups","scheme":"IB","sim_us":40000000,"cycle":36,"disk":-1,"cluster":-1,"stream":-1,"value":3}
+{"kind":"disk_repaired","scheme":"IB","sim_us":64000000,"cycle":60,"disk":1,"cluster":0,"stream":-1,"value":0}
+{"kind":"disk_failed","scheme":"IB","sim_us":32000000,"cycle":30,"disk":1,"cluster":0,"stream":-1,"value":0}
+{"kind":"degraded_transition_start","scheme":"IB","sim_us":32000000,"cycle":30,"disk":-1,"cluster":0,"stream":-1,"value":5}
+{"kind":"rebuild_start","scheme":"IB","sim_us":33066666,"cycle":31,"disk":1,"cluster":0,"stream":-1,"value":50}
+{"kind":"hiccups","scheme":"IB","sim_us":34133333,"cycle":32,"disk":-1,"cluster":-1,"stream":-1,"value":1}
+{"kind":"journal_dropped","scheme":"sim","sim_us":34133333,"cycle":-1,"disk":-1,"cluster":-1,"stream":-1,"value":7}
+)";
+
+// A span the journal implies: `name` in process `pid`, from `ts` for
+// `dur` simulated microseconds.
+struct ExpectedSpan {
+  std::string name;
+  int64_t pid = 0;
+  int64_t ts = 0;
+  int64_t dur = 0;
+  friend auto operator<=>(const ExpectedSpan&, const ExpectedSpan&) = default;
+};
+
+struct ChromeCase {
+  const char* name;
+  const char* journal;
+  int64_t events;
+  std::vector<std::string> processes;  // by pid, from 1
+  std::vector<ExpectedSpan> spans;
+};
+
+// Every journal event is one instant; every transition and rebuild pair
+// is exactly one span whose ts and dur are the journal's sim_us; no two
+// spans on one track partially overlap.
+TEST(RunReportTest, ChromeSpansMatchTheJournalPairs) {
+  const ChromeCase cases[] = {
+      {"drill", kDrillJournal, 7, {"SR run 1"},
+       {{"degraded_transition", 1, 6400000, 4000000},
+        {"rebuild", 1, 10400000, 1600000}}},
+      {"sr2", kDualFailureJournal, 18, {"SR2 run 1"},
+       {{"degraded_transition", 1, 3200000, 1333333},
+        {"degraded_transition", 1, 3466666, 1333334},
+        {"rebuild", 1, 4800000, 1333333},
+        {"rebuild", 1, 6133333, 1333333}}},
+      {"nc2", kNc2Journal, 18, {"NC2 run 1"},
+       {{"degraded_transition", 1, 2133333, 1600000},
+        {"degraded_transition", 1, 2400000, 1600000},
+        {"rebuild", 1, 4000000, 1333333},
+        {"rebuild", 1, 5333333, 1333333}}},
+      // The unmatched end stays an instant; the open transition and
+      // rebuild close at IB run 2's last event, not at the footer.
+      {"truncated", kTruncatedTwoRigJournal, 8,
+       {"IB run 1", "IB run 2", "sim run 1"},
+       {{"degraded_transition", 2, 32000000, 2133333},
+        {"rebuild", 2, 33066666, 1066667}}},
+  };
+  for (const ChromeCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string path =
+        WriteTempFile(std::string("chrome_") + c.name + ".jsonl", c.journal);
+    const auto report = LoadRunReport(path, "", "");
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const StatusOr<JsonValue> trace =
+        JsonValue::Parse(RenderRunReportChrome(*report));
+    ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+    const JsonValue* events = trace->Find("traceEvents");
+    ASSERT_NE(events, nullptr);
+
+    int64_t instants = 0;
+    std::vector<std::string> processes;
+    std::vector<ExpectedSpan> spans;
+    std::map<std::pair<int64_t, int64_t>,
+             std::vector<std::pair<int64_t, int64_t>>>
+        tracks;  // (pid, tid) -> [start, end)
+    for (const JsonValue& e : events->items()) {
+      const std::string& ph = e.Find("ph")->AsString();
+      const int64_t pid = e.Find("pid")->AsInt();
+      if (ph == "i") ++instants;
+      if (ph == "M" && e.Find("name")->AsString() == "process_name") {
+        ASSERT_EQ(pid, static_cast<int64_t>(processes.size()) + 1);
+        processes.push_back(e.Find("args")->Find("name")->AsString());
+      }
+      if (ph == "X") {
+        const int64_t ts = e.Find("ts")->AsInt();
+        const int64_t dur = e.Find("dur")->AsInt();
+        spans.push_back({e.Find("name")->AsString(), pid, ts, dur});
+        tracks[{pid, e.Find("tid")->AsInt()}].emplace_back(ts, ts + dur);
+      }
+    }
+    EXPECT_EQ(instants, c.events);
+    EXPECT_EQ(processes, c.processes);
+    std::vector<ExpectedSpan> want = c.spans;
+    std::sort(want.begin(), want.end());
+    std::sort(spans.begin(), spans.end());
+    EXPECT_EQ(spans, want);
+    for (auto& [track, list] : tracks) {
+      std::sort(list.begin(), list.end());
+      std::vector<int64_t> open;  // ends of the enclosing spans
+      for (const auto& [start, end] : list) {
+        while (!open.empty() && start >= open.back()) open.pop_back();
+        EXPECT_TRUE(open.empty() || end <= open.back())
+            << "partial overlap on track " << track.first << "/"
+            << track.second;
+        open.push_back(end);
+      }
+    }
+  }
+}
+
+// The ring-cap footer renders as an instant of its own "sim" process,
+// carrying the evicted count.
+TEST(RunReportTest, ChromeKeepsTheJournalDroppedFooter) {
+  const std::string path =
+      WriteTempFile("chrome_footer.jsonl", kTruncatedTwoRigJournal);
+  const auto report = LoadRunReport(path, "", "");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_NE(RenderRunReportChrome(*report).find(
+                R"({"name": "journal_dropped", "cat": "journal", "ph": "i", )"
+                R"("pid": 3, "tid": 0, "ts": 34133333, "args": )"
+                R"({"cycle": -1, "disk": -1, "cluster": -1, "value": 7}})"),
+            std::string::npos);
+}
+
+// With a time series loaded, every series is a counter track of one last
+// process, one sample per recorded point.
+TEST(RunReportTest, ChromeRendersEverySeriesAsACounterTrack) {
+  const std::string journal = WriteTempFile("chrome_ts.jsonl", kDrillJournal);
+  const std::string ts = WriteTempFile(
+      "chrome_ts.json",
+      "{\"series\": {"
+      "\"rebuild.SR.0.progress\": {\"stride\": 1, \"t\": [11200000, "
+      "12000000], \"v\": [0.76, 1]}, "
+      "\"sched.SR.0.active_streams\": {\"stride\": 2, \"t\": [800000, "
+      "2400000, 4000000], \"v\": [4, 4, 3]}}}\n");
+  const auto report = LoadRunReport(journal, "", ts);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const std::string chrome = RenderRunReportChrome(*report);
+  ASSERT_TRUE(JsonValue::Parse(chrome).ok());
+  EXPECT_NE(chrome.find(R"({"name": "process_name", "cat": "__metadata", )"
+                        R"("ph": "M", "pid": 2, "tid": 0, "ts": 0, )"
+                        R"("args": {"name": "time series"}})"),
+            std::string::npos);
+  for (const char* sample :
+       {R"("rebuild.SR.0.progress", "cat": "series", "ph": "C", "pid": 2, )"
+        R"("tid": 0, "ts": 11200000, "args": {"value": 0.76}})",
+        R"("rebuild.SR.0.progress", "cat": "series", "ph": "C", "pid": 2, )"
+        R"("tid": 0, "ts": 12000000, "args": {"value": 1}})",
+        R"("sched.SR.0.active_streams", "cat": "series", "ph": "C", )"
+        R"("pid": 2, "tid": 0, "ts": 4000000, "args": {"value": 3}})"}) {
+    EXPECT_NE(chrome.find(sample), std::string::npos) << sample;
+  }
+  size_t samples = 0;
+  for (size_t at = chrome.find("\"ph\": \"C\""); at != std::string::npos;
+       at = chrome.find("\"ph\": \"C\"", at + 1)) {
+    ++samples;
+  }
+  EXPECT_EQ(samples, 5u);
 }
 
 TEST(RunReportTest, JsonRenderIsStructured) {

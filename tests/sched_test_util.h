@@ -30,7 +30,6 @@ struct RigOptions {
   double object_rate_mb_s = 0.1875;
   // Private observability sinks (null = uninstrumented, the default).
   MetricsRegistry* metrics = nullptr;
-  Tracer* tracer = nullptr;
   // Private QoS sinks (null = FTMS_QOS-gated defaults, normally off in
   // tests).
   EventJournal* journal = nullptr;
@@ -65,7 +64,6 @@ inline SchedRig MakeRig(Scheme scheme, int parity_group_size, int num_disks,
   config.ib_prefetch_parity = options.ib_prefetch_parity;
   config.ib_mirror_read_balance = options.ib_mirror_read_balance;
   config.metrics = options.metrics;
-  config.tracer = options.tracer;
   config.journal = options.journal;
   config.ledger = options.ledger;
   config.timeseries = options.timeseries;
@@ -74,13 +72,12 @@ inline SchedRig MakeRig(Scheme scheme, int parity_group_size, int num_disks,
   return rig;
 }
 
-// Convenience overload: an instrumented rig publishing into `metrics` (and
-// optionally `tracer`), with default options otherwise.
+// Convenience overload: an instrumented rig publishing into `metrics`,
+// with default options otherwise.
 inline SchedRig MakeRig(Scheme scheme, int parity_group_size, int num_disks,
-                        MetricsRegistry* metrics, Tracer* tracer = nullptr) {
+                        MetricsRegistry* metrics) {
   RigOptions options;
   options.metrics = metrics;
-  options.tracer = tracer;
   return MakeRig(scheme, parity_group_size, num_disks, options);
 }
 

@@ -22,8 +22,9 @@
 //   ftms report <journal.jsonl>          unified run report from a
 //        [--metrics BENCH.json]          recorded journal plus optional
 //        [--timeseries ts.json]          bench/profile and time-series
-//        [--md|--json]                   artifacts; exits 1 on malformed
-//                                        inputs.
+//        [--md|--json|--chrome]          artifacts, as Markdown, JSON or
+//                                        a Chrome/Perfetto timeline;
+//                                        exits 1 on malformed inputs.
 //   ftms top <url> [--once] [--json]     live ANSI dashboard over a
 //        [--interval-ms N] [--frames N]  running drill's telemetry
 //                                        endpoint (FTMS_TELEMETRY_PORT);
@@ -77,7 +78,7 @@ int Usage() {
       "  ftms qos <sr|sg|nc|ib|sr2|nc2> [C] [D] [--json] "
       "[--journal-out FILE]\n"
       "  ftms report <journal.jsonl> [--metrics BENCH.json] "
-      "[--timeseries ts.json] [--md|--json]\n"
+      "[--timeseries ts.json] [--md|--json|--chrome]\n"
       "  ftms top <url> [--once] [--json] [--interval-ms N] "
       "[--frames N]\n");
   return 2;
@@ -452,23 +453,25 @@ int CmdTop(int argc, char** argv) {
 }
 
 // Renders a recorded run (journal JSONL + optional bench/profile and
-// time-series artifacts) as one report. Strict on inputs: any unreadable
-// or malformed file exits 1.
+// time-series artifacts) as one report or timeline. Strict on inputs: any
+// unreadable or malformed file exits 1.
 int CmdReport(int argc, char** argv) {
   if (argc < 3) return Usage();
   const std::string journal_path = argv[2];
   std::string metrics_path;
   std::string timeseries_path;
-  bool as_json = false;
+  std::string (*render)(const RunReport&) = RenderRunReportMarkdown;
   for (int i = 3; i < argc; ++i) {
     if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
       metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--timeseries") == 0 && i + 1 < argc) {
       timeseries_path = argv[++i];
     } else if (std::strcmp(argv[i], "--json") == 0) {
-      as_json = true;
+      render = RenderRunReportJson;
     } else if (std::strcmp(argv[i], "--md") == 0) {
-      as_json = false;
+      render = RenderRunReportMarkdown;
+    } else if (std::strcmp(argv[i], "--chrome") == 0) {
+      render = RenderRunReportChrome;
     } else {
       return Usage();
     }
@@ -479,9 +482,7 @@ int CmdReport(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", report.status().ToString().c_str());
     return 1;
   }
-  const std::string out = as_json ? RenderRunReportJson(*report)
-                                  : RenderRunReportMarkdown(*report);
-  std::fputs(out.c_str(), stdout);
+  std::fputs(render(*report).c_str(), stdout);
   return 0;
 }
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Summarize and validate FTMS observability artifacts: Chrome trace
-JSON, Prometheus text, and the QoS event journal (JSONL).
+"""Summarize and validate FTMS observability artifacts: the Chrome trace
+JSON that `ftms report --chrome` renders, Prometheus text, and the QoS
+event journal (JSONL).
 
 Usage:
     tools/trace_summary.py TRACE.json             # per-category totals
@@ -13,17 +14,18 @@ Usage:
     tools/trace_summary.py --scrape FILE             # validate a telemetry
                                                      # scrape (/metrics or /vars)
 
-Summary mode prints, per event category ("phase" of the run: sched,
-failure, rebuild, ...), the span count, total simulated microseconds, and
-instant-event count, plus per-track totals.
+Summary mode prints, per event category (journal, degraded_transition,
+rebuild, series), the span count, total simulated microseconds, and the
+instant and counter-sample counts, plus per-track span totals.
 
 --check validates:
   * the file is well-formed JSON with a traceEvents list;
   * every event has the required fields (name, ph, ts, tid; dur on 'X');
   * timestamps and durations are non-negative numbers;
-  * per tid, complete spans nest monotonically: sorted by start time,
-    each span either starts at-or-after the previous one ends, or lies
-    entirely within it (no partial overlap).
+  * every counter sample ('C') has an args object of finite numbers;
+  * per track (pid, tid), complete spans nest monotonically: sorted by
+    start time, each span either starts at-or-after the previous one
+    ends, or lies entirely within it (no partial overlap).
 
 --prom FILE additionally validates Prometheus exposition text: every
 non-comment line is `name{labels} value` (or `name value`) with a finite
@@ -77,32 +79,40 @@ def fail(msg):
 
 def check_events(events):
     ok = True
-    spans_by_tid = defaultdict(list)
+    spans_by_track = defaultdict(list)
     for i, ev in enumerate(events):
         if not isinstance(ev, dict):
             ok = fail(f"event {i} is not an object")
             continue
         ph = ev.get("ph")
-        if ph not in ("X", "i", "M"):
+        if ph not in ("X", "i", "C", "M"):
             ok = fail(f"event {i}: unknown phase {ph!r}")
             continue
         if ph == "M":
-            continue  # metadata (thread_name) records
+            continue  # metadata (process_name, thread_name) records
         for field in ("name", "ts", "tid"):
             if field not in ev:
                 ok = fail(f"event {i} ({ev.get('name')!r}): missing {field!r}")
         ts = ev.get("ts", 0)
         if not isinstance(ts, (int, float)) or ts < 0:
             ok = fail(f"event {i} ({ev.get('name')!r}): bad ts {ts!r}")
+        if ph == "C":
+            args = ev.get("args")
+            if not isinstance(args, dict) or not args or not all(
+                    isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in args.values()):
+                ok = fail(f"event {i} ({ev.get('name')!r}): counter args "
+                          f"{args!r} are not finite numbers")
         if ph == "X":
             dur = ev.get("dur")
             if not isinstance(dur, (int, float)) or dur < 0:
                 ok = fail(f"event {i} ({ev.get('name')!r}): bad dur {dur!r}")
             else:
-                spans_by_tid[ev.get("tid")].append((ts, ts + dur, i))
+                spans_by_track[(ev.get("pid"), ev.get("tid"))].append(
+                    (ts, ts + dur, i))
     # Monotone nesting per track: with spans sorted by start, each one
     # either follows the previous span or nests fully inside an open one.
-    for tid, spans in spans_by_tid.items():
+    for track, spans in spans_by_track.items():
         spans.sort()
         stack = []  # end times of open enclosing spans
         for start, end, idx in spans:
@@ -110,7 +120,7 @@ def check_events(events):
                 stack.pop()
             if stack and end > stack[-1]:
                 ok = fail(
-                    f"tid {tid}: span at event {idx} "
+                    f"track {track}: span at event {idx} "
                     f"[{start}, {end}) partially overlaps an enclosing "
                     f"span ending at {stack[-1]}"
                 )
@@ -381,12 +391,18 @@ def check_scrape(path):
     return check_prometheus(path)
 
 
-def summarize(doc, events):
-    tracks = {}
+def summarize(events):
+    processes, tracks = {}, {}
     for ev in events:
-        if ev.get("ph") == "M" and ev.get("name") == "thread_name":
-            tracks[ev.get("tid")] = ev.get("args", {}).get("name", "?")
-    per_cat = defaultdict(lambda: [0, 0.0, 0])  # spans, sim_us, instants
+        if ev.get("ph") != "M":
+            continue
+        name = ev.get("args", {}).get("name", "?")
+        if ev.get("name") == "process_name":
+            processes[ev.get("pid")] = name
+        elif ev.get("name") == "thread_name":
+            tracks[(ev.get("pid"), ev.get("tid"))] = name
+    # spans, sim_us, instants, counter samples
+    per_cat = defaultdict(lambda: [0, 0.0, 0, 0])
     per_track = defaultdict(lambda: [0, 0.0])
     for ev in events:
         ph = ev.get("ph")
@@ -394,25 +410,29 @@ def summarize(doc, events):
             continue
         cat = ev.get("cat", "?")
         if ph == "X":
+            track = (ev.get("pid"), ev.get("tid"))
             per_cat[cat][0] += 1
             per_cat[cat][1] += ev.get("dur", 0)
-            per_track[ev.get("tid")][0] += 1
-            per_track[ev.get("tid")][1] += ev.get("dur", 0)
+            per_track[track][0] += 1
+            per_track[track][1] += ev.get("dur", 0)
+        elif ph == "C":
+            per_cat[cat][3] += 1
         else:
             per_cat[cat][2] += 1
-    overwritten = doc.get("otherData", {}).get("overwritten", 0)
-    print(f"{'category':<12} {'spans':>8} {'sim_ms':>12} {'instants':>9}")
+    print(f"{'category':<20} {'spans':>8} {'sim_ms':>12} {'instants':>9} "
+          f"{'samples':>8}")
     for cat in sorted(per_cat):
-        spans, sim_us, instants = per_cat[cat]
-        print(f"{cat:<12} {spans:>8} {sim_us / 1000.0:>12.3f} {instants:>9}")
+        spans, sim_us, instants, samples = per_cat[cat]
+        print(f"{cat:<20} {spans:>8} {sim_us / 1000.0:>12.3f} {instants:>9} "
+              f"{samples:>8}")
     print()
-    print(f"{'track':<24} {'spans':>8} {'sim_ms':>12}")
-    for tid in sorted(per_track):
-        spans, sim_us = per_track[tid]
-        name = tracks.get(tid, f"tid {tid}")
-        print(f"{name:<24} {spans:>8} {sim_us / 1000.0:>12.3f}")
-    if overwritten:
-        print(f"\nnote: ring buffer overwrote {overwritten} event(s)")
+    print(f"{'track':<44} {'spans':>8} {'sim_ms':>12}")
+    for pid, tid in sorted(per_track, key=lambda t: tuple(
+            x if isinstance(x, int) else -1 for x in t)):
+        spans, sim_us = per_track[(pid, tid)]
+        name = (f"{processes.get(pid, f'pid {pid}')} / "
+                f"{tracks.get((pid, tid), f'tid {tid}')}")
+        print(f"{name:<44} {spans:>8} {sim_us / 1000.0:>12.3f}")
 
 
 def main():
@@ -488,7 +508,7 @@ def main():
         print(f"{args.trace}: {real} events ok")
         return 0
 
-    summarize(doc, events)
+    summarize(events)
     ok = True
     if args.prom:
         ok = check_prometheus(args.prom) and ok

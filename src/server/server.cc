@@ -3,22 +3,32 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "model/capacity.h"
+#include "telemetry/http.h"
 
 namespace ftms {
 
 namespace {
 
 // ServerConfig::telemetry_port -1 defers to the environment; the
-// variable absent (or empty) keeps telemetry fully off.
-int ResolveTelemetryPort(int config_port) {
+// variable absent (or empty) keeps telemetry fully off, and anything but
+// a whole decimal port in [0, 65535] is an error.
+StatusOr<int> ResolveTelemetryPort(int config_port) {
   if (config_port >= 0) return config_port;
   const char* env = std::getenv("FTMS_TELEMETRY_PORT");
   if (env == nullptr || env[0] == '\0') return -1;
-  return std::atoi(env);
+  const std::optional<int64_t> port = ParseDecimal(env, 0, 65535);
+  if (!port) {
+    return Status::InvalidArgument(
+        std::string("FTMS_TELEMETRY_PORT must be a port in [0, 65535], "
+                    "got '") +
+        env + "'");
+  }
+  return static_cast<int>(*port);
 }
 
 }  // namespace
@@ -82,12 +92,14 @@ StatusOr<std::unique_ptr<MultimediaServer>> MultimediaServer::Create(
       server->disks_.get(), server->layout_.get(),
       server->scheduler_.get());
 
-  // Live telemetry plane, only when asked for: the hub renders snapshots
-  // at cycle boundaries (serial points), the HTTP thread serves them.
+  // Live telemetry plane, only when asked for: the hub publishes at cycle
+  // boundaries (serial points), the HTTP thread serves what it published.
   // With telemetry off neither object exists — zero threads, zero
   // per-cycle cost, byte-identical outputs.
-  const int telemetry_port = ResolveTelemetryPort(config.telemetry_port);
-  if (telemetry_port >= 0) {
+  const StatusOr<int> telemetry_port =
+      ResolveTelemetryPort(config.telemetry_port);
+  if (!telemetry_port.ok()) return telemetry_port.status();
+  if (*telemetry_port >= 0) {
     MultimediaServer* raw = server.get();
     server->telemetry_hub_ = std::make_unique<TelemetryHub>();
     server->telemetry_hub_->AttachMetrics(
@@ -99,23 +111,30 @@ StatusOr<std::unique_ptr<MultimediaServer>> MultimediaServer::Create(
       raw->ProbeTelemetry(snap);
     });
     TelemetryServerOptions options;
-    options.port = telemetry_port;
+    options.port = *telemetry_port;
     StatusOr<std::unique_ptr<TelemetryServer>> http =
         TelemetryServer::Start(server->telemetry_hub_.get(), options);
     if (!http.ok()) return http.status();
     server->telemetry_server_ = std::move(*http);
-    server->PublishTelemetry();  // endpoints have content before cycle 1
+    server->ForcePublishTelemetry();  // content before cycle 1
   }
 
   return server;
 }
 
+void MultimediaServer::ProbeReadiness(TelemetryReadiness* state) const {
+  state->cycle = scheduler_->cycle();
+  state->rebuild_active = rebuild_->Active();
+  state->rebuild_disk = rebuild_->active_disk();
+  state->rebuild_progress = rebuild_->Progress();
+  if (const QosLedger* ledger = scheduler_->qos_ledger()) {
+    state->active_breaches = ledger->active_breaches();
+  }
+}
+
 void MultimediaServer::ProbeTelemetry(TelemetrySnapshot* snap) {
-  snap->cycle = scheduler_->cycle();
+  ProbeReadiness(snap);
   snap->status_line = StatusLine();
-  snap->rebuild_active = rebuild_->Active();
-  snap->rebuild_disk = rebuild_->active_disk();
-  snap->rebuild_progress = rebuild_->Progress();
 
   const int num_clusters = layout_->num_clusters();
   const int disks_per_cluster = layout_->disks_per_cluster();
@@ -145,7 +164,6 @@ void MultimediaServer::ProbeTelemetry(TelemetrySnapshot* snap) {
         std::max(snap->worst_stream_hiccups, stream->hiccup_count());
   }
   if (const QosLedger* ledger = scheduler_->qos_ledger()) {
-    snap->active_breaches = ledger->active_breaches();
     for (const SloStatus& status : ledger->Evaluate(streams)) {
       snap->slo_burn.emplace_back(status.spec.name, status.budget_burn);
     }
@@ -153,6 +171,14 @@ void MultimediaServer::ProbeTelemetry(TelemetrySnapshot* snap) {
 }
 
 void MultimediaServer::PublishTelemetry() {
+  if (telemetry_hub_ == nullptr) return;
+  TelemetryReadiness state;
+  state.sim_us = static_cast<int64_t>(NowSeconds() * 1e6);
+  ProbeReadiness(&state);
+  telemetry_hub_->PublishCycle(state);
+}
+
+void MultimediaServer::ForcePublishTelemetry() {
   if (telemetry_hub_ == nullptr) return;
   telemetry_hub_->Publish(static_cast<int64_t>(NowSeconds() * 1e6));
 }
@@ -227,8 +253,8 @@ void MultimediaServer::RunCycles(int n) {
     scheduler_->RunCycle();
     rebuild_->AdvanceOneCycle();
     ReleaseFinishedSlots();
-    // Cycle end is the serial sync point: scrapes see a complete cycle
-    // or the one before it, never a torn view.
+    // Cycle end is the serial sync point: a body scrape sees the first
+    // cycle end after it arrived, never a torn view.
     PublishTelemetry();
   }
 }

@@ -41,11 +41,12 @@ struct ServerConfig {
   // global recorder.
   TimeSeriesRecorder* timeseries = nullptr;
 
-  // Telemetry exporter port: >= 0 starts the in-process HTTP server on
-  // 127.0.0.1 (0 = kernel-assigned ephemeral port); -1 falls back to the
-  // FTMS_TELEMETRY_PORT environment variable, and disables telemetry
-  // entirely when that is unset — no thread, no socket, no per-cycle
-  // snapshot work.
+  // Telemetry exporter port: 0..65535 starts the in-process HTTP server
+  // on 127.0.0.1 (0 = kernel-assigned ephemeral port); -1 falls back to
+  // the FTMS_TELEMETRY_PORT environment variable, and disables telemetry
+  // entirely when that is unset or empty — no thread, no socket, no
+  // per-cycle snapshot work. Create() fails with InvalidArgument on a
+  // port above 65535 or a variable that is not a whole decimal port.
   int telemetry_port = -1;
 };
 
@@ -136,15 +137,22 @@ class MultimediaServer {
   std::string StatusLine() const;
 
   // Live telemetry plane (null unless ServerConfig::telemetry_port or
-  // FTMS_TELEMETRY_PORT enabled it at Create time). Snapshots publish at
-  // every cycle boundary; PublishTelemetry() forces one extra publication
-  // from a serial point (exporters call it right before their final
-  // dump so the last scrape equals the written file).
+  // FTMS_TELEMETRY_PORT enabled it at Create time).
   const TelemetryServer* telemetry_server() const {
     return telemetry_server_.get();
   }
   TelemetryHub* telemetry_hub() { return telemetry_hub_.get(); }
+
+  // Exactly what every cycle end does: publishes the readiness words
+  // (cycle, rebuild window, active breaches) that /healthz and /readyz
+  // serve, and renders the status line, cluster and SLO state and every
+  // body only when a scrape is waiting for them. Serial points only.
   void PublishTelemetry();
+
+  // Publishes and renders every body now. Create() calls it so the
+  // endpoints have content before cycle 1; exporters call it right
+  // before their final dump so the last scrape equals the written file.
+  void ForcePublishTelemetry();
 
  private:
   MultimediaServer() = default;
@@ -152,8 +160,12 @@ class MultimediaServer {
   // Returns completed/terminated streams' admission slots to the pool.
   void ReleaseFinishedSlots();
 
-  // Fills the live-state fields of a telemetry snapshot (rebuild window,
-  // per-cluster utilization, SLO burn). Serial points only.
+  // Fills the readiness words of a telemetry publication. Constant time:
+  // it walks no stream, cluster or series. Serial points only.
+  void ProbeReadiness(TelemetryReadiness* state) const;
+
+  // Fills every field of a rendered snapshot: readiness plus the status
+  // line, per-cluster utilization and SLO burn. Serial points only.
   void ProbeTelemetry(TelemetrySnapshot* snap);
 
   std::vector<bool> slot_released_;  // per StreamId

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "qos/event_journal.h"
-#include "telemetry/telemetry_server.h"
 #include "util/metrics.h"
 #include "util/profiler.h"
 
@@ -44,9 +43,6 @@ void Simulator::FlushInstruments() {
   }
   if (pending_gauge_ != nullptr) {
     pending_gauge_->Set(static_cast<double>(queue_->size()));
-  }
-  if (telemetry_ != nullptr) {
-    telemetry_->Publish(static_cast<int64_t>(now_ * 1e6));
   }
 }
 

@@ -89,11 +89,6 @@ class Simulator {
   // deterministic.
   void BindJournal(class EventJournal* journal) { journal_ = journal; }
 
-  // Optional telemetry hub (null = off). Every FlushInstruments — i.e.
-  // every Step/Run/RunUntil boundary, the engine's serial sync points —
-  // publishes a fresh snapshot for live scrapes (see telemetry/).
-  void BindTelemetry(class TelemetryHub* hub) { telemetry_ = hub; }
-
  private:
   bool StepNoFlush() {
     EventRec ev;
@@ -120,7 +115,6 @@ class Simulator {
   class Counter* events_counter_ = nullptr;
   class Gauge* pending_gauge_ = nullptr;
   class EventJournal* journal_ = nullptr;
-  class TelemetryHub* telemetry_ = nullptr;
 
   friend void SchedulePeriodic(Simulator&, SimTime, SimTime,
                                std::function<bool()>);

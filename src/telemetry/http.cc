@@ -14,13 +14,9 @@
 
 namespace ftms {
 
-namespace {
-
-// All of `digits` as a decimal integer in [lo, hi]: no sign, no spaces,
-// nothing after the last digit. Out-of-range values fail rather than
-// wrap.
-std::optional<int> ParseDecimal(std::string_view digits, int lo, int hi) {
-  int value = 0;
+std::optional<int64_t> ParseDecimal(std::string_view digits, int64_t lo,
+                                    int64_t hi) {
+  int64_t value = 0;
   const char* end = digits.data() + digits.size();
   const std::from_chars_result r =
       std::from_chars(digits.data(), end, value);
@@ -29,6 +25,8 @@ std::optional<int> ParseDecimal(std::string_view digits, int lo, int hi) {
   }
   return value;
 }
+
+namespace {
 
 // %xx and '+' decoding for query values; invalid escapes pass through.
 std::string UrlDecode(std::string_view in) {
@@ -161,12 +159,12 @@ StatusOr<ParsedUrl> ParseHttpUrl(const std::string& url) {
   const size_t colon = authority.rfind(':');
   parsed.host = authority.substr(0, colon);
   if (colon != std::string::npos) {
-    const std::optional<int> port = ParseDecimal(
+    const std::optional<int64_t> port = ParseDecimal(
         std::string_view(authority).substr(colon + 1), 1, 65535);
     if (!port) {
       return Status::InvalidArgument("malformed http URL port: " + url);
     }
-    parsed.port = *port;
+    parsed.port = static_cast<int>(*port);
   }
   if (parsed.host.empty()) {
     return Status::InvalidArgument("malformed http URL authority: " + url);
@@ -246,7 +244,7 @@ StatusOr<HttpResponse> ParseHttpResponse(std::string_view raw) {
   }
   const std::string_view head = raw.substr(0, head_end);
   // Status line: "HTTP/1.1 200 OK"; the code is exactly three digits.
-  std::optional<int> status;
+  std::optional<int64_t> status;
   const size_t sp = head.find(' ');
   if (sp != std::string_view::npos) {
     const std::string_view code =
@@ -257,7 +255,7 @@ StatusOr<HttpResponse> ParseHttpResponse(std::string_view raw) {
     return Status::InvalidArgument("malformed HTTP status line");
   }
   HttpResponse response;
-  response.status = *status;
+  response.status = static_cast<int>(*status);
   // Pull Content-Type out of the head; other headers are irrelevant here.
   size_t pos = 0;
   while ((pos = head.find("\r\n", pos)) != std::string_view::npos) {

@@ -1,6 +1,7 @@
 #ifndef FTMS_TELEMETRY_HTTP_H_
 #define FTMS_TELEMETRY_HTTP_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -47,6 +48,13 @@ std::string_view HttpStatusReason(int status);
 // Full wire form: status line, Content-Type, Content-Length,
 // Connection: close, blank line, body.
 std::string SerializeHttpResponse(const HttpResponse& response);
+
+// All of `digits` as a decimal integer in [lo, hi]: digits only, after an
+// optional '-' (no '+', no spaces, nothing after the last digit), and a
+// value out of range fails rather than wraps. Every number the telemetry
+// plane reads from a URL, a query or the environment goes through here.
+std::optional<int64_t> ParseDecimal(std::string_view digits, int64_t lo,
+                                    int64_t hi);
 
 // "http://host:port/path" -> parts. Only the http scheme is accepted;
 // the target defaults to "/". The port, when given, must be all digits

@@ -7,8 +7,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <utility>
 
 #include "qos/event_journal.h"
@@ -78,9 +79,32 @@ std::string RenderVarsJson(const TelemetrySnapshot& snap,
 }  // namespace
 
 void TelemetryHub::Publish(int64_t sim_us) {
+  TelemetryReadiness state;
+  state.seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  state.sim_us = sim_us;
+  Render(state);
+}
+
+void TelemetryHub::PublishCycle(const TelemetryReadiness& state) {
+  TelemetryReadiness next = state;
+  next.seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+  bool render;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    render = render_requested_;
+    if (!render) readiness_ = next;
+  }
+  if (render) Render(next);
+  // A cycle loop never blocks, so without this the exporter thread (woken
+  // by a render above) or a scraper queued on this CPU could wait for the
+  // scheduler's next tick, milliseconds away; yielding bounds that wait
+  // to one cycle and costs one system call when nothing else is runnable.
+  std::this_thread::yield();
+}
+
+void TelemetryHub::Render(TelemetryReadiness state) {
   auto snap = std::make_shared<TelemetrySnapshot>();
-  snap->seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  snap->sim_us = sim_us;
+  static_cast<TelemetryReadiness&>(*snap) = state;
   for (const StateProbe& probe : probes_) probe(snap.get());
   if (metrics_ != nullptr) {
     snap->metrics_prom = metrics_->PrometheusText();
@@ -96,19 +120,58 @@ void TelemetryHub::Publish(int64_t sim_us) {
         kJournalTailMax, &snap->journal_total, &snap->journal_dropped);
   }
   snap->vars_json = RenderVarsJson(*snap, metrics_);
-  const std::lock_guard<std::mutex> lock(latest_mu_);
-  latest_ = std::move(snap);
+  renders_.fetch_add(1, std::memory_order_relaxed);
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    readiness_ = *snap;
+    latest_ = std::move(snap);
+    render_requested_ = false;  // this render answers every waiter
+  }
+  rendered_.notify_all();
 }
 
 std::shared_ptr<const TelemetrySnapshot> TelemetryHub::Latest() const {
-  const std::lock_guard<std::mutex> lock(latest_mu_);
+  const std::lock_guard<std::mutex> lock(mu_);
   return latest_;
+}
+
+TelemetryReadiness TelemetryHub::Readiness() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return readiness_;
+}
+
+std::shared_ptr<const TelemetrySnapshot> TelemetryHub::AwaitRendered(
+    const std::atomic<bool>& serving) const {
+  std::unique_lock<std::mutex> lock(mu_);
+  const uint64_t asked_at = readiness_.seq;
+  if (latest_->seq == asked_at || wait_expired_at_ == asked_at) {
+    return latest_;
+  }
+  render_requested_ = true;
+  const bool woken = rendered_.wait_for(lock, kRenderWait, [&] {
+    return latest_->seq > asked_at ||
+           !serving.load(std::memory_order_acquire);
+  });
+  if (!woken) wait_expired_at_ = readiness_.seq;
+  return latest_;
+}
+
+void TelemetryHub::WakeWaiters() const {
+  // Taking the lock orders the caller's flag store before a waiter's
+  // predicate check, so the notification cannot fall between the two.
+  { const std::lock_guard<std::mutex> lock(mu_); }
+  rendered_.notify_all();
 }
 
 StatusOr<std::unique_ptr<TelemetryServer>> TelemetryServer::Start(
     const TelemetryHub* hub, const TelemetryServerOptions& options) {
   if (hub == nullptr) {
     return Status::InvalidArgument("telemetry server needs a hub");
+  }
+  if (options.port < 0 || options.port > 65535) {
+    return Status::InvalidArgument("telemetry: port " +
+                                   std::to_string(options.port) +
+                                   " outside [0, 65535]");
   }
   auto server = std::unique_ptr<TelemetryServer>(new TelemetryServer());
   server->hub_ = hub;
@@ -160,8 +223,10 @@ void TelemetryServer::Stop() {
     if (thread_.joinable()) thread_.join();
     return;
   }
-  // Wake the blocked accept(); the fd is closed only after the join so it
-  // cannot be reused by another thread in between.
+  // Wake a request waiting for a render and the blocked accept(); the fd
+  // is closed only after the join so it cannot be reused by another
+  // thread in between.
+  hub_->WakeWaiters();
   ::shutdown(listen_fd_, SHUT_RDWR);
   if (thread_.joinable()) thread_.join();
   ::close(listen_fd_);
@@ -228,52 +293,56 @@ HttpResponse TelemetryServer::Handle(const HttpRequest& request) const {
     response.body = "method not allowed\n";
     return response;
   }
-  const std::shared_ptr<const TelemetrySnapshot> snap = hub_->Latest();
+  const auto rendered = [this] { return hub_->AwaitRendered(running_); };
 
   if (request.path == "/metrics") {
     response.content_type = kPrometheusContentType;
-    response.body = snap->metrics_prom;
+    response.body = rendered()->metrics_prom;
   } else if (request.path == "/healthz") {
     // Liveness: the accept loop answered, so the process is healthy.
     response.body = "ok\n";
   } else if (request.path == "/readyz") {
     // Readiness degrades while a rebuild is in flight (the paper's
     // critical exposure window) or an SLO breach is active.
-    if (snap->ready()) {
+    const TelemetryReadiness state = hub_->Readiness();
+    if (state.ready()) {
       response.body = "ready\n";
     } else {
       response.status = 503;
       response.body = "not ready: ";
-      if (snap->rebuild_active) response.body += "rebuild in flight; ";
-      if (snap->active_breaches > 0) {
+      if (state.rebuild_active) response.body += "rebuild in flight; ";
+      if (state.active_breaches > 0) {
         response.body +=
-            std::to_string(snap->active_breaches) + " active breach(es); ";
+            std::to_string(state.active_breaches) + " active breach(es); ";
       }
       response.body += "\n";
     }
   } else if (request.path == "/vars") {
     response.content_type = "application/json";
-    response.body = snap->vars_json;
+    response.body = rendered()->vars_json;
   } else if (request.path == "/timeseries") {
+    const std::shared_ptr<const TelemetrySnapshot> snap = rendered();
     response.content_type = "application/json";
     response.body = snap->timeseries_json.empty() ? "{}\n"
                                                   : snap->timeseries_json;
   } else if (request.path == "/profile") {
+    const std::shared_ptr<const TelemetrySnapshot> snap = rendered();
     response.content_type = "application/json";
     response.body =
         snap->profile_json.empty() ? "{}\n" : snap->profile_json;
   } else if (request.path == "/journal/tail") {
     size_t n = 32;
     if (const auto param = QueryParam(request, "n")) {
-      char* end = nullptr;
-      const long long v = std::strtoll(param->c_str(), &end, 10);
-      if (param->empty() || end == nullptr || *end != '\0' || v < 0) {
+      const std::optional<int64_t> v =
+          ParseDecimal(*param, 0, std::numeric_limits<int64_t>::max());
+      if (!v) {
         response.status = 400;
         response.body = "bad n: expected a non-negative integer\n";
         return response;
       }
-      n = static_cast<size_t>(v);
+      n = static_cast<size_t>(*v);
     }
+    const std::shared_ptr<const TelemetrySnapshot> snap = rendered();
     const size_t have = snap->journal_tail.size();
     const size_t count = n < have ? n : have;
     response.content_type = "application/x-ndjson";

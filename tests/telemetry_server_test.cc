@@ -7,10 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -20,6 +24,7 @@
 #include "qos/event_journal.h"
 #include "server/server.h"
 #include "telemetry/http.h"
+#include "util/json.h"
 #include "util/metrics.h"
 
 namespace ftms {
@@ -325,6 +330,257 @@ TEST(TelemetryServerTest, TopOnceJsonRoundTripsAgainstLiveDrill) {
                          " --once > /dev/null")
                             .c_str()),
             0);
+}
+
+// The SR drill of ConcurrentScrapesDuringRunningDrill: tiny disks, so a
+// rebuild takes a handful of cycles, and three streams on one movie.
+std::unique_ptr<MultimediaServer> MakeDrillServer() {
+  ServerConfig config;
+  config.scheme = Scheme::kStreamingRaid;
+  config.parity_group_size = 5;
+  config.params.num_disks = 10;
+  config.params.k_reserve = 2;
+  config.params.disk.capacity_mb = 2.5;
+  config.slots_per_disk = 4;
+  config.telemetry_port = 0;
+  auto server = std::move(MultimediaServer::Create(config).value());
+  MediaObject movie;
+  movie.id = 0;
+  movie.rate_mb_s = 0.1875;
+  movie.num_tracks = 200;
+  EXPECT_TRUE(server->AddObject(movie).ok());
+  for (int i = 0; i < 3; ++i) server->StartStream(0).value();
+  return server;
+}
+
+double MillisSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+constexpr double kWaitMs =
+    std::chrono::duration<double, std::milli>(TelemetryHub::kRenderWait)
+        .count();
+
+// Sets an environment variable for one scope and restores it after.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(TelemetryPublicationTest, PublishCycleInstallsReadinessOnly) {
+  HubRig rig;
+  rig.hub.Publish(1000);
+  TelemetryReadiness state;
+  state.sim_us = 2000;
+  state.cycle = 7;
+  state.rebuild_active = true;
+  rig.hub.PublishCycle(state);
+
+  const TelemetryReadiness newest = rig.hub.Readiness();
+  EXPECT_EQ(newest.seq, 2u);
+  EXPECT_EQ(newest.sim_us, 2000);
+  EXPECT_EQ(newest.cycle, 7);
+  EXPECT_FALSE(newest.ready());
+  // The bodies still come from the forced publication.
+  EXPECT_EQ(rig.hub.Latest()->seq, 1u);
+  EXPECT_EQ(rig.hub.Latest()->sim_us, 1000);
+  EXPECT_EQ(rig.hub.publish_count(), 2u);
+  EXPECT_EQ(rig.hub.render_count(), 1u);
+}
+
+TEST(TelemetryPublicationTest, CyclesWithoutScrapesRenderNoBody) {
+  auto server = MakeDrillServer();
+  TelemetryHub* hub = server->telemetry_hub();
+  ASSERT_NE(hub, nullptr);
+  // Create() renders once so the endpoints have content before cycle 1.
+  EXPECT_EQ(hub->render_count(), 1u);
+  const uint64_t before = hub->publish_count();
+  constexpr int kCycles = 64;
+  server->RunCycles(kCycles);
+  server->PublishTelemetry();  // exactly what a cycle end does
+  EXPECT_EQ(hub->publish_count(), before + kCycles + 1);
+  EXPECT_EQ(hub->render_count(), 1u);
+  EXPECT_EQ(hub->Readiness().cycle, server->cycle());
+  EXPECT_EQ(hub->Latest()->cycle, 0);
+}
+
+TEST(TelemetryPublicationTest, ReadyzTracksRebuildWithoutRenderingBodies) {
+  auto server = MakeDrillServer();
+  const TelemetryServer* http = server->telemetry_server();
+  ASSERT_NE(http, nullptr);
+  const uint64_t renders = server->telemetry_hub()->render_count();
+
+  server->RunCycles(3);
+  EXPECT_EQ(http->Handle(Get("/readyz")).status, 200);
+  ASSERT_TRUE(server->FailDisk(1).ok());
+  ASSERT_TRUE(server->StartRebuild(1).ok());
+  server->RunCycles(1);
+  ASSERT_TRUE(server->rebuild().Active());
+  const HttpResponse during = http->Handle(Get("/readyz"));
+  EXPECT_EQ(during.status, 503);
+  EXPECT_NE(during.body.find("rebuild in flight"), std::string::npos);
+  for (int guard = 0; server->rebuild().Active() && guard < 200; ++guard) {
+    server->RunCycles(1);
+  }
+  ASSERT_FALSE(server->rebuild().Active());
+  EXPECT_EQ(http->Handle(Get("/readyz")).status, 200);
+  EXPECT_EQ(server->telemetry_hub()->render_count(), renders);
+}
+
+TEST(TelemetryPublicationTest, BodyScrapeSeesACycleEndAfterItArrived) {
+  auto server = MakeDrillServer();
+  TelemetryHub* hub = server->telemetry_hub();
+  const std::string url = server->telemetry_server()->url();
+  std::atomic<bool> stop{false};
+  std::thread drill([&] {
+    while (!stop.load(std::memory_order_acquire)) server->RunCycles(1);
+  });
+  for (int i = 0; i < 8; ++i) {
+    const int64_t arrived_after = hub->Readiness().cycle;
+    const auto response = HttpGet(url + "/vars");
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    const StatusOr<JsonValue> vars = JsonValue::Parse(response->body);
+    ASSERT_TRUE(vars.ok()) << response->body;
+    const JsonValue* cycle = vars->Find("cycle");
+    ASSERT_NE(cycle, nullptr);
+    EXPECT_GE(cycle->AsInt(-1), arrived_after);
+  }
+  stop.store(true, std::memory_order_release);
+  drill.join();
+  // Each scrape asked for one render at the next cycle end.
+  EXPECT_GE(hub->render_count(), 2u);
+}
+
+TEST(TelemetryPublicationTest, ForcedPublicationServesMetricsWithoutWaiting) {
+  HubRig rig;
+  auto server = rig.Serve();
+  for (int i = 0; i < 3; ++i) rig.hub.PublishCycle(TelemetryReadiness());
+  rig.metrics.GetCounter("ftms_test_total", "A counter for the test")
+      ->Add(5);
+  rig.hub.Publish(123);
+  const uint64_t renders = rig.hub.render_count();
+
+  const auto start = std::chrono::steady_clock::now();
+  const HttpResponse metrics = server->Handle(Get("/metrics"));
+  EXPECT_LT(MillisSince(start), kWaitMs / 2);
+  EXPECT_EQ(metrics.status, 200);
+  EXPECT_EQ(metrics.body, rig.metrics.PrometheusText());
+  EXPECT_NE(metrics.body.find("ftms_test_total 12"), std::string::npos);
+  EXPECT_EQ(rig.hub.render_count(), renders);
+}
+
+TEST(TelemetryPublicationTest, StopWakesAWaitingBodyRequest) {
+  HubRig rig;
+  rig.hub.Publish(0);
+  rig.hub.PublishCycle(TelemetryReadiness());  // newest is not rendered
+  auto server = rig.Serve();
+  const std::string url = server->url();
+
+  StatusOr<HttpResponse> scraped = Status::Unavailable("not scraped");
+  std::thread scraper([&] { scraped = HttpGet(url + "/vars"); });
+  // Nothing publishes, so the request waits for a render that never comes.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const auto start = std::chrono::steady_clock::now();
+  server->Stop();
+  EXPECT_LT(MillisSince(start), kWaitMs / 2);
+  scraper.join();
+  ASSERT_TRUE(scraped.ok()) << scraped.status().ToString();
+  EXPECT_EQ(scraped->status, 200);
+  EXPECT_EQ(scraped->body, rig.hub.Latest()->vars_json);
+  EXPECT_EQ(rig.hub.render_count(), 1u);
+}
+
+TEST(TelemetryPublicationTest, ExpiredWaitIsNotRepeatedUntilAPublication) {
+  HubRig rig;
+  rig.hub.Publish(0);
+  rig.hub.PublishCycle(TelemetryReadiness());
+  auto server = rig.Serve();
+
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(server->Handle(Get("/vars")).status, 200);
+  EXPECT_GE(MillisSince(start), kWaitMs * 0.9);  // waited out the bound
+  start = std::chrono::steady_clock::now();
+  EXPECT_EQ(server->Handle(Get("/vars")).status, 200);
+  EXPECT_LT(MillisSince(start), kWaitMs / 2);  // nothing new: no wait
+  // The expired request's ask still stands: the next cycle end renders.
+  rig.hub.PublishCycle(TelemetryReadiness());
+  EXPECT_EQ(rig.hub.render_count(), 2u);
+  EXPECT_EQ(rig.hub.Latest()->seq, 3u);
+}
+
+TEST(TelemetryPortTest, MalformedEnvironmentPortFailsCreate) {
+  ServerConfig config;
+  config.telemetry_port = -1;  // defer to FTMS_TELEMETRY_PORT
+  for (const char* port : {"abc", "0x1", "-7", "65536", "4294967377", " 80",
+                           "+80", "80 "}) {
+    const ScopedEnv env("FTMS_TELEMETRY_PORT", port);
+    const auto server = MultimediaServer::Create(config);
+    EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument)
+        << "FTMS_TELEMETRY_PORT='" << port << "'";
+  }
+  // Unset and empty keep telemetry off.
+  const ScopedEnv env("FTMS_TELEMETRY_PORT", "");
+  const auto server = MultimediaServer::Create(config);
+  ASSERT_TRUE(server.ok());
+  EXPECT_EQ((*server)->telemetry_server(), nullptr);
+}
+
+TEST(TelemetryPortTest, StartRejectsPortsOutsideTheTcpRange) {
+  TelemetryHub hub;
+  for (const int port : {70000, 65536, -1}) {
+    TelemetryServerOptions options;
+    options.port = port;
+    EXPECT_EQ(TelemetryServer::Start(&hub, options).status().code(),
+              StatusCode::kInvalidArgument)
+        << port;
+  }
+}
+
+TEST(TelemetryServerTest, JournalTailRejectsCountsThatAreNotWholeNumbers) {
+  HubRig rig;
+  rig.hub.Publish(0);
+  auto server = rig.Serve();
+  // '+' in a query decodes to a space; %2B is a literal plus.
+  for (const char* target :
+       {"/journal/tail?n=%205", "/journal/tail?n=%2B5", "/journal/tail?n=+5",
+        "/journal/tail?n=5%20", "/journal/tail?n=0x5", "/journal/tail?n=",
+        "/journal/tail?n=99999999999999999999"}) {
+    EXPECT_EQ(server->Handle(Get(target)).status, 400) << target;
+  }
+  EXPECT_EQ(server->Handle(Get("/journal/tail?n=5")).status, 200);
+}
+
+TEST(TelemetryServerTest, CliRejectsMalformedDelays) {
+  const char* cli = std::getenv("FTMS_CLI_BIN");
+  if (cli == nullptr || cli[0] == '\0') {
+    GTEST_SKIP() << "FTMS_CLI_BIN not set";
+  }
+  for (const char* env :
+       {"FTMS_TELEMETRY_CYCLE_DELAY_MS=abc", "FTMS_TELEMETRY_CYCLE_DELAY_MS=-5",
+        "FTMS_TELEMETRY_CYCLE_DELAY_MS=5ms", "FTMS_TELEMETRY_LINGER_MS=1e3",
+        "FTMS_TELEMETRY_LINGER_MS=+100"}) {
+    const std::string command =
+        std::string(env) + " " + cli + " qos sr > /dev/null 2>&1";
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << env;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << env;
+  }
 }
 
 }  // namespace

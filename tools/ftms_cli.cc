@@ -43,6 +43,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -56,6 +58,7 @@
 #include "reliability/birth_death.h"
 #include "reliability/markov_sim.h"
 #include "server/server.h"
+#include "telemetry/http.h"
 #include "telemetry/top.h"
 #include "util/json.h"
 #include "util/metrics.h"
@@ -208,6 +211,22 @@ int CmdSimulate(int argc, char** argv) {
   return 0;
 }
 
+// A whole, non-negative number of milliseconds from the environment;
+// unset or empty reads as 0, anything else is an error rather than a
+// silent stand-in value.
+StatusOr<int> EnvMillis(const char* name) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || env[0] == '\0') return 0;
+  const std::optional<int64_t> ms =
+      ParseDecimal(env, 0, std::numeric_limits<int>::max());
+  if (!ms) {
+    return Status::InvalidArgument(
+        std::string(name) + " must be a whole number of milliseconds, got '" +
+        env + "'");
+  }
+  return static_cast<int>(*ms);
+}
+
 const char* StreamStateName(StreamState state) {
   switch (state) {
     case StreamState::kActive:
@@ -260,6 +279,19 @@ int CmdQos(int argc, char** argv) {
   config.journal = &journal;
   config.ledger = &ledger;
 
+  // FTMS_TELEMETRY_CYCLE_DELAY_MS slows the drill to human/scraper speed;
+  // FTMS_TELEMETRY_LINGER_MS keeps the exporter serving the final
+  // snapshot after the drill, so scripts can scrape the settled state.
+  const StatusOr<int> cycle_delay_ms =
+      EnvMillis("FTMS_TELEMETRY_CYCLE_DELAY_MS");
+  const StatusOr<int> linger_ms = EnvMillis("FTMS_TELEMETRY_LINGER_MS");
+  for (const Status& s : {cycle_delay_ms.status(), linger_ms.status()}) {
+    if (!s.ok()) {
+      std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
+      return 1;
+    }
+  }
+
   auto server_or = MultimediaServer::Create(config);
   if (!server_or.ok()) {
     std::fprintf(stderr, "error: %s\n",
@@ -282,15 +314,12 @@ int CmdQos(int argc, char** argv) {
       }
     }
   }
-  // FTMS_TELEMETRY_CYCLE_DELAY_MS slows the drill to human/scraper speed.
-  const char* delay_env = std::getenv("FTMS_TELEMETRY_CYCLE_DELAY_MS");
-  const int cycle_delay_ms = delay_env != nullptr ? std::atoi(delay_env) : 0;
   const auto run_cycles = [&](int n) {
     for (int i = 0; i < n; ++i) {
       server->RunCycles(1);
-      if (cycle_delay_ms > 0) {
+      if (*cycle_delay_ms > 0) {
         std::this_thread::sleep_for(
-            std::chrono::milliseconds(cycle_delay_ms));
+            std::chrono::milliseconds(*cycle_delay_ms));
       }
     }
   };
@@ -400,22 +429,17 @@ int CmdQos(int argc, char** argv) {
     }
     std::fprintf(stderr, "wrote %s\n", journal_out.c_str());
   }
-  // Final snapshot at the last serial point, BEFORE the registry dump:
-  // a post-run scrape of /metrics is byte-identical to FTMS_METRICS_OUT.
-  server->PublishTelemetry();
+  // Final rendered snapshot at the last serial point, BEFORE the registry
+  // dump: a post-run scrape of /metrics is byte-identical to
+  // FTMS_METRICS_OUT.
+  server->ForcePublishTelemetry();
   WriteRunDumps({.metrics = MetricsRegistry::GlobalIfEnabled(),
                  .journal = &journal,
                  .profile = Profiler::GlobalEnabled(),
                  .timeseries = TimeSeriesRecorder::GlobalIfEnabled()},
                 stderr);
-  // FTMS_TELEMETRY_LINGER_MS keeps the exporter serving the final
-  // snapshot after the drill, so scripts can scrape the settled state.
-  if (server->telemetry_server() != nullptr) {
-    if (const char* linger = std::getenv("FTMS_TELEMETRY_LINGER_MS");
-        linger != nullptr && std::atoi(linger) > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(std::atoi(linger)));
-    }
+  if (server->telemetry_server() != nullptr && *linger_ms > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(*linger_ms));
   }
   if (!ConformanceWatchdog::AllOk(findings)) {
     std::fprintf(stderr, "conformance: VIOLATION of a paper bound\n");

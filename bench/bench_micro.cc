@@ -86,7 +86,7 @@ void BM_EventQueue(benchmark::State& state) {
 BENCHMARK(BM_EventQueue);
 
 void BM_LayoutMapping(benchmark::State& state) {
-  auto layout = ClusteredLayout::Create(100, 5).value();
+  auto layout = CreateLayout(Scheme::kStreamingRaid, 100, 5).value();
   int64_t track = 0;
   for (auto _ : state) {
     const BlockLocation loc = layout->DataLocation(7, track++ % 100000);

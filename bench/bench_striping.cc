@@ -30,13 +30,8 @@ struct Result {
 };
 
 Result Run(bool striped) {
-  std::unique_ptr<Layout> layout;
-  if (striped) {
-    layout = std::move(
-        CreateLayout(Scheme::kNonClustered, kDisks, kC).value());
-  } else {
-    layout = std::move(NonStripedLayout::Create(kDisks, kC).value());
-  }
+  std::unique_ptr<Layout> layout = std::move(
+      CreateLayout(Scheme::kNonClustered, kDisks, kC, striped).value());
   DiskParameters disk;
   auto disks = std::make_unique<DiskArray>(std::move(
       DiskArray::Create(kDisks, layout->disks_per_cluster(), disk)

@@ -70,13 +70,6 @@ Status DiskArray::StartRebuildDisk(int id) {
   return Status::Ok();
 }
 
-bool DiskArray::HasCatastrophicClusterFailure() const {
-  for (int c = 0; c < num_clusters(); ++c) {
-    if (NumFailedInCluster(c) >= 2) return true;
-  }
-  return false;
-}
-
 std::vector<int> DiskArray::FailedDisks() const {
   std::vector<int> out;
   for (const Disk& d : disks_) {

@@ -1,6 +1,7 @@
 #ifndef FTMS_DISK_DISK_ARRAY_H_
 #define FTMS_DISK_DISK_ARRAY_H_
 
+#include <span>
 #include <vector>
 
 #include "disk/disk.h"
@@ -51,12 +52,6 @@ class DiskArray {
     return cluster * cluster_size_ + index;
   }
 
-  // Last disk of the cluster: the dedicated parity disk in the clustered
-  // (SR/SG/NC) layouts.
-  int ParityDiskOf(int cluster) const {
-    return DiskId(cluster, cluster_size_ - 1);
-  }
-
   // Failure / repair injection. StartRebuildDisk moves a disk to the
   // rebuilding state (still non-operational for reads); it exists so the
   // rebuild machinery never mutates Disk state behind the failure columns.
@@ -70,10 +65,9 @@ class DiskArray {
   int NumFailedInCluster(int cluster) const {
     return failed_in_cluster_[static_cast<size_t>(cluster)];
   }
-
-  // True when some cluster has >= 2 failed disks: with one parity block per
-  // group this is the paper's "catastrophic failure" for clustered layouts.
-  bool HasCatastrophicClusterFailure() const;
+  // The per-cluster counts, one entry per cluster (Layout::LosesGroup
+  // reads them to decide whether a group is lost).
+  std::span<const int> FailedPerCluster() const { return failed_in_cluster_; }
 
   // List of currently failed disk ids (ascending).
   std::vector<int> FailedDisks() const;

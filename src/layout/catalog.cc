@@ -25,6 +25,7 @@ Status Catalog::Add(const MediaObject& object) {
   if (object.num_tracks <= 0) {
     return Status::InvalidArgument("object must have at least one track");
   }
+  FTMS_RETURN_IF_ERROR(Layout::CheckObject(object));
   if (Contains(object.id)) {
     return Status::AlreadyExists("object " + std::to_string(object.id) +
                                  " already resident");

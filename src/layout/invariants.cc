@@ -126,11 +126,9 @@ Status CheckDataLoadBalance(const Layout& layout, int object_id,
   // never receive data.
   std::vector<int64_t> data_disks;
   for (int d = 0; d < layout.num_disks(); ++d) {
-    const bool parity_only =
-        layout.scheme_family() != Scheme::kImprovedBandwidth &&
-        d % layout.parity_group_size() >=
-            layout.parity_group_size() - layout.parity_blocks();
-    if (!parity_only) data_disks.push_back(per_disk[static_cast<size_t>(d)]);
+    if (!layout.IsParityDisk(d)) {
+      data_disks.push_back(per_disk[static_cast<size_t>(d)]);
+    }
   }
   const auto [min_it, max_it] =
       std::minmax_element(data_disks.begin(), data_disks.end());

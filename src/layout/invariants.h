@@ -9,7 +9,7 @@ namespace ftms {
 // Structural invariants the paper's analysis depends on. Each checker
 // walks the first `num_groups` parity groups of `num_objects` synthetic
 // objects and returns the first violation found (or OK). They are used by
-// property tests and can be run against any Layout implementation.
+// property tests and can be run against any layout.
 
 // Observation 1 is enforced by construction (a group's tracks come from a
 // single object); what must be checked is that a group's blocks never

@@ -1,8 +1,10 @@
 #ifndef FTMS_LAYOUT_LAYOUT_H_
 #define FTMS_LAYOUT_LAYOUT_H_
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "layout/media_object.h"
@@ -22,292 +24,212 @@ struct BlockLocation {
       default;
 };
 
-// Devirtualized snapshot of a Layout's placement geometry. Every layout in
-// this codebase is a pure integer function of (clusters, disks-per-cluster,
-// C-1, striped?, IB placement?) — LayoutGeom captures those five values
-// plus Lemire fast-division magic for the three divisors, so the
-// schedulers' per-read location math is inline integer arithmetic instead
-// of two virtual calls and three 64-bit divides. Built by Layout::Geom();
-// CycleScheduler cross-checks it against the virtual interface in debug
-// builds, so a future Layout subclass with novel placement math fails loud
-// rather than silently desyncing.
-struct LayoutGeom {
-  int num_clusters = 1;
-  int disks_per_cluster = 1;
-  int per_group = 1;   // data blocks per parity group (C - parity_blocks)
-  int parity_blocks = 1;  // parity blocks per group (2 for P+Q layouts)
-  bool striped = true;  // round-robin groups over clusters?
-  bool ib = false;      // Improved-bandwidth placement (parity on i+1)
-  FastDiv per_group_div;  // by per_group
-  FastDiv clusters_div;   // by num_clusters
-  FastDiv dpc_div;        // by disks_per_cluster
-
-  int64_t GroupOf(int64_t track) const {
-    assert(track >= 0 && track <= INT64_C(0xffffffff));
-    return per_group_div.Div(static_cast<uint32_t>(track));
-  }
-  int PositionInGroup(int64_t track) const {
-    assert(track >= 0 && track <= INT64_C(0xffffffff));
-    return static_cast<int>(
-        per_group_div.Mod(static_cast<uint32_t>(track)));
-  }
-  int HomeCluster(int object_id) const {
-    assert(object_id >= 0);
-    return static_cast<int>(
-        clusters_div.Mod(static_cast<uint32_t>(object_id)));
-  }
-  int GroupCluster(int object_id, int64_t group) const {
-    const int home = HomeCluster(object_id);
-    if (!striped) return home;
-    assert(group >= 0 && home + group <= INT64_C(0xffffffff));
-    return static_cast<int>(
-        clusters_div.Mod(static_cast<uint32_t>(home + group)));
-  }
-  int ClusterOfDisk(int disk) const {
-    return static_cast<int>(dpc_div.Div(static_cast<uint32_t>(disk)));
-  }
-  // Global disk of data position `pos` of a group on `cluster`.
-  int DataDisk(int cluster, int pos) const {
-    return cluster * disks_per_cluster + pos;
-  }
-  int DataDiskOf(int object_id, int64_t track) const {
-    return DataDisk(GroupCluster(object_id, GroupOf(track)),
-                    PositionInGroup(track));
-  }
-  // Global disk of the parity block of `group`, and the cluster it lives
-  // on (the data cluster for clustered layouts; the right-hand neighbor
-  // for Improved-bandwidth). For dual-parity layouts this is the P disk
-  // (slot C-2); QParityDisk() below is the Q disk (slot C-1).
-  int ParityDisk(int object_id, int64_t group, int data_cluster) const {
-    if (!ib) {
-      return DataDisk(data_cluster, disks_per_cluster - parity_blocks);
-    }
-    const int pc = data_cluster + 1 == num_clusters ? 0 : data_cluster + 1;
-    assert(object_id >= 0 && group >= 0 &&
-           object_id + group <= INT64_C(0xffffffff));
-    const int index = static_cast<int>(dpc_div.Mod(
-        static_cast<uint32_t>(static_cast<int64_t>(object_id) + group)));
-    return DataDisk(pc, index);
-  }
-  int ParityCluster(int data_cluster) const {
-    if (!ib) return data_cluster;
-    return data_cluster + 1 == num_clusters ? 0 : data_cluster + 1;
-  }
-  // The Q (second parity) disk of a dual-parity cluster: the last slot.
-  // Meaningful only when parity_blocks == 2.
-  int QParityDisk(int data_cluster) const {
-    return DataDisk(data_cluster, disks_per_cluster - 1);
-  }
-};
-
-// Maps (object, track) -> disk for a given data layout. Layouts are pure
-// functions of the configuration: they do not track capacity (see
-// StorageAllocator for that), which lets schedulers query them cheaply.
+// Where every block of every object lives, and which failures lose a
+// group: the one module that decides placement. A Layout is a small
+// copyable value, a pure integer function of its geometry; it tracks no
+// capacity (see Catalog), so schedulers keep a copy and query it inline on
+// every read.
 //
-// Terminology: a parity group consists of `DataBlocksPerGroup()` = C-1
-// consecutive data tracks of ONE object plus one parity track
-// (Observation 1: never mix objects in a group). Group j of an object whose
-// home cluster is h lives on cluster (h + j) mod Nc — the round-robin
-// allocation of Section 2.
+// Terminology: a parity group consists of `DataBlocksPerGroup()`
+// consecutive data tracks of ONE object plus `parity_blocks()` parity
+// tracks (Observation 1: never mix objects in a group). Group j of an
+// object whose home cluster is h lives on cluster (h + j) mod Nc — the
+// round-robin allocation of Section 2 (the non-striped ablation pins every
+// group to h). A group's data occupies slots 0..C'-1 of its cluster, C' =
+// DataBlocksPerGroup(). Its parity lives either on the same cluster's
+// trailing dedicated parity slots (SR/SG/NC, Figure 3; P at slot C-2 and Q
+// at slot C-1 for the P+Q variants) or, for Improved-bandwidth, on a disk
+// of the next cluster, rotating over that cluster's C-1 disks (Section 4,
+// Figure 8).
+//
+// Arithmetic domain: object ids are non-negative ints and track indices
+// stay below 2^32, so every division is a 32-bit FastDiv. Objects from
+// outside pass CheckObject() before they reach a layout (Catalog::Add,
+// CycleScheduler::AddStream).
 class Layout {
  public:
-  virtual ~Layout() = default;
+  // Largest track count (and one past the largest track index) the
+  // placement arithmetic addresses.
+  static constexpr int64_t kMaxTracks = INT64_C(0xffffffff);
 
-  virtual Scheme scheme_family() const = 0;
+  // Rejects an object the placement cannot address: a negative id, or
+  // more than kMaxTracks tracks.
+  static Status CheckObject(const MediaObject& object);
 
   int num_disks() const { return num_disks_; }
   int parity_group_size() const { return parity_group_size_; }  // C
   // Parity blocks per group: 1 for the paper's four schemes, 2 for the
   // P+Q dual-parity variants.
   int parity_blocks() const { return parity_blocks_; }
-  int DataBlocksPerGroup() const {
-    return parity_group_size_ - parity_blocks_;
+  int DataBlocksPerGroup() const { return per_group_; }
+  // Clustered layouts group C disks; Improved-bandwidth groups C-1.
+  int num_clusters() const { return num_clusters_; }
+  int disks_per_cluster() const { return disks_per_cluster_; }
+  // Whether groups round-robin over clusters (everything except the
+  // non-striped ablation).
+  bool striped() const { return striped_; }
+
+  // Whether this layout places blocks the way `scheme` schedules them
+  // (its parity blocks per group and parity cluster; striping aside).
+  bool Serves(Scheme scheme) const;
+
+  // Parity group of data track `track`, and the track's position in it.
+  int64_t GroupOf(int64_t track) const {
+    return per_group_div_.Div(Narrow(track));
   }
-
-  // Number of disk clusters. Clustered layouts group C disks; the
-  // Improved-bandwidth layout groups C-1 (all of data role).
-  virtual int num_clusters() const = 0;
-  virtual int disks_per_cluster() const = 0;
-
-  // Parity group index of data track `track`.
-  int64_t GroupOf(int64_t track) const { return track / DataBlocksPerGroup(); }
-
-  // Position of `track` within its parity group, in [0, C-1).
   int PositionInGroup(int64_t track) const {
-    return static_cast<int>(track % DataBlocksPerGroup());
+    return static_cast<int>(per_group_div_.Mod(Narrow(track)));
   }
 
   // Home cluster of object `object_id` (where its group 0 lives).
   int HomeCluster(int object_id) const {
-    return object_id % num_clusters();
-  }
-
-  // Cluster where parity group `group` of the object lives: round-robin
-  // from the home cluster (Section 2). Virtual so the non-striped
-  // ablation layout can pin objects to their home cluster.
-  virtual int GroupCluster(int object_id, int64_t group) const {
+    assert(object_id >= 0);
     return static_cast<int>(
-        (HomeCluster(object_id) + group) % num_clusters());
+        clusters_div_.Mod(static_cast<uint32_t>(object_id)));
+  }
+  // Cluster holding the data of group `group` of the object.
+  int GroupCluster(int object_id, int64_t group) const {
+    const int home = HomeCluster(object_id);
+    if (!striped_) return home;
+    return AddMod(home, static_cast<int>(clusters_div_.Mod(Narrow(group))),
+                  num_clusters_);
+  }
+  int ClusterOfDisk(int disk) const {
+    assert(disk >= 0);
+    return static_cast<int>(dpc_div_.Div(static_cast<uint32_t>(disk)));
   }
 
-  // Whether groups round-robin over clusters (everything except the
-  // non-striped ablation layout).
-  virtual bool striped() const { return true; }
+  // Global disk of slot `slot` of `cluster`; data position `pos` of a
+  // group is slot `pos` of the group's cluster.
+  int DataDisk(int cluster, int pos) const {
+    return cluster * disks_per_cluster_ + pos;
+  }
+  int DataDiskOf(int object_id, int64_t track) const {
+    return DataDisk(GroupCluster(object_id, GroupOf(track)),
+                    PositionInGroup(track));
+  }
 
-  // Devirtualized geometry for scheduler hot paths; see LayoutGeom.
-  LayoutGeom Geom() const;
+  // Dedicated parity slots per cluster: parity_blocks() for clustered
+  // layouts, none for Improved-bandwidth (every disk there holds data and
+  // the previous cluster's parity). They follow the data slots.
+  int parity_slots() const {
+    return parity_on_next_cluster_ ? 0 : parity_blocks_;
+  }
+  // Global disk of dedicated parity slot `k` of `cluster` (k = 0 is P,
+  // k = 1 is Q).
+  int DedicatedParityDisk(int cluster, int k) const {
+    return DataDisk(cluster, per_group_ + k);
+  }
+  // Whether `disk` is a dedicated parity disk (holds no data).
+  bool IsParityDisk(int disk) const {
+    return static_cast<int>(dpc_div_.Mod(static_cast<uint32_t>(disk))) >=
+           per_group_;
+  }
+
+  // Cluster holding the parity of a group whose data is on
+  // `data_cluster`.
+  int ParityCluster(int data_cluster) const {
+    if (!parity_on_next_cluster_) return data_cluster;
+    return data_cluster + 1 == num_clusters_ ? 0 : data_cluster + 1;
+  }
+  // Global disk of the parity block of `group` (the P block for P+Q
+  // layouts), given the group's data cluster.
+  int ParityDisk(int object_id, int64_t group, int data_cluster) const {
+    if (!parity_on_next_cluster_) {
+      return DedicatedParityDisk(data_cluster, 0);
+    }
+    assert(object_id >= 0);
+    const int index =
+        AddMod(static_cast<int>(
+                   dpc_div_.Mod(static_cast<uint32_t>(object_id))),
+               static_cast<int>(dpc_div_.Mod(Narrow(group))),
+               disks_per_cluster_);
+    return DataDisk(ParityCluster(data_cluster), index);
+  }
+  // The Q (second parity) disk of a P+Q cluster: its last slot.
+  // Meaningful only when parity_blocks() == 2.
+  int QParityDisk(int data_cluster) const {
+    return DedicatedParityDisk(data_cluster, 1);
+  }
 
   // Location of data track `track` of the object.
-  virtual BlockLocation DataLocation(int object_id, int64_t track) const = 0;
-
-  // Location of the parity block for group `group` of the object (the
-  // P block for dual-parity layouts).
-  virtual BlockLocation ParityLocation(int object_id,
-                                       int64_t group) const = 0;
-
-  // Location of the Q (second parity) block for dual-parity layouts;
-  // a default-constructed location (disk == -1) everywhere else.
-  virtual BlockLocation QParityLocation(int /*object_id*/,
-                                        int64_t /*group*/) const {
-    return BlockLocation{};
+  BlockLocation DataLocation(int object_id, int64_t track) const {
+    const int cluster = GroupCluster(object_id, GroupOf(track));
+    return {DataDisk(cluster, PositionInGroup(track)), cluster, false};
   }
-
-  // All data locations of group `group` in group order (C-1 entries).
+  // Location of the parity block of group `group` (P for P+Q layouts).
+  BlockLocation ParityLocation(int object_id, int64_t group) const {
+    const int cluster = GroupCluster(object_id, group);
+    return {ParityDisk(object_id, group, cluster), ParityCluster(cluster),
+            true};
+  }
+  // Location of the Q block for P+Q layouts; a default-constructed
+  // location (disk == -1) everywhere else.
+  BlockLocation QParityLocation(int object_id, int64_t group) const {
+    if (parity_blocks_ != 2) return BlockLocation{};
+    const int cluster = GroupCluster(object_id, group);
+    return {QParityDisk(cluster), cluster, true};
+  }
+  // All data locations of group `group` in group order.
   std::vector<BlockLocation> GroupDataLocations(int object_id,
                                                 int64_t group) const;
 
- protected:
-  Layout(int num_disks, int parity_group_size, int parity_blocks = 1)
-      : num_disks_(num_disks),
-        parity_group_size_(parity_group_size),
-        parity_blocks_(parity_blocks) {}
+  // Disks a rebuild of `disk` reads: every other disk of its cluster and,
+  // for Improved-bandwidth, every disk of the next cluster (where the
+  // cluster's parity lives). The previous cluster, whose groups keep
+  // their parity on `disk`, is not in the set.
+  std::vector<int> RebuildSources(int disk) const;
+
+  // Whether the failures counted in `down_per_cluster` (one entry per
+  // cluster) lose a group: more of its units down than it has parity
+  // blocks. Clustered layouts lose one when a cluster has more than
+  // parity_blocks() down; Improved-bandwidth when a cluster has two down
+  // or two adjacent clusters have one each. LosesGroupAt checks only the
+  // groups touching `cluster`, in O(1).
+  bool LosesGroupAt(std::span<const int> down_per_cluster,
+                    int cluster) const;
+  bool LosesGroup(std::span<const int> down_per_cluster) const;
 
  private:
+  friend StatusOr<std::unique_ptr<Layout>> CreateLayout(
+      Scheme scheme, int num_disks, int parity_group_size, bool striped);
+
+  Layout(int num_disks, int parity_group_size, int parity_blocks,
+         int disks_per_cluster, bool striped, bool parity_on_next_cluster);
+
+  // Tracks and groups are below 2^32 (see CheckObject).
+  static uint32_t Narrow(int64_t value) {
+    assert(value >= 0 && value <= kMaxTracks);
+    return static_cast<uint32_t>(value);
+  }
+  // (a + b) mod n for a, b in [0, n). Summing residues, not raw ids and
+  // groups (whose sum can pass 2^32), keeps every FastDiv operand 32-bit.
+  static int AddMod(int a, int b, int n) {
+    const int sum = a + b;
+    return sum >= n ? sum - n : sum;
+  }
+
   int num_disks_;
   int parity_group_size_;
   int parity_blocks_;
+  int per_group_;
+  int disks_per_cluster_;
+  int num_clusters_;
+  bool striped_;
+  bool parity_on_next_cluster_;
+  FastDiv per_group_div_;  // by per_group_
+  FastDiv clusters_div_;   // by num_clusters_
+  FastDiv dpc_div_;        // by disks_per_cluster_
 };
 
-// Layout for the Streaming RAID, Staggered-group and Non-clustered schemes
-// (they share the same placement; only scheduling differs — Section 2).
-// Clusters hold C disks: data disks 0..C-2 and the dedicated parity disk
-// C-1, exactly as drawn in Figure 3.
-class ClusteredLayout : public Layout {
- public:
-  // `num_disks` must be a positive multiple of `parity_group_size` (C).
-  static StatusOr<std::unique_ptr<ClusteredLayout>> Create(
-      int num_disks, int parity_group_size);
-
-  Scheme scheme_family() const override { return Scheme::kStreamingRaid; }
-  int num_clusters() const override {
-    return num_disks() / parity_group_size();
-  }
-  int disks_per_cluster() const override { return parity_group_size(); }
-
-  BlockLocation DataLocation(int object_id, int64_t track) const override;
-  BlockLocation ParityLocation(int object_id, int64_t group) const override;
-
-  // The dedicated parity disk of `cluster`.
-  int ParityDisk(int cluster) const {
-    return cluster * parity_group_size() + parity_group_size() - 1;
-  }
-
- protected:
-  ClusteredLayout(int num_disks, int parity_group_size)
-      : Layout(num_disks, parity_group_size) {}
-};
-
-// Layout for the dual-parity (P+Q / RAID-6) scheme variants SR-2 and
-// NC-2: clusters hold C disks — data disks 0..C-3, the P disk at C-2
-// and the Q disk at C-1. Placement is otherwise identical to
-// ClusteredLayout (round-robin groups, one object per group); only the
-// split of each cluster into data and parity roles changes, so any two
-// concurrent failures inside one cluster stay recoverable.
-class DualParityLayout : public Layout {
- public:
-  // `num_disks` must be a positive multiple of C, and C >= 3 (at least
-  // one data disk next to the two parity disks).
-  static StatusOr<std::unique_ptr<DualParityLayout>> Create(
-      int num_disks, int parity_group_size);
-
-  Scheme scheme_family() const override { return Scheme::kStreamingRaid2; }
-  int num_clusters() const override {
-    return num_disks() / parity_group_size();
-  }
-  int disks_per_cluster() const override { return parity_group_size(); }
-
-  BlockLocation DataLocation(int object_id, int64_t track) const override;
-  BlockLocation ParityLocation(int object_id, int64_t group) const override;
-  BlockLocation QParityLocation(int object_id,
-                                int64_t group) const override;
-
-  // The dedicated P and Q disks of `cluster`.
-  int PDisk(int cluster) const {
-    return cluster * parity_group_size() + parity_group_size() - 2;
-  }
-  int QDisk(int cluster) const {
-    return cluster * parity_group_size() + parity_group_size() - 1;
-  }
-
- private:
-  DualParityLayout(int num_disks, int parity_group_size)
-      : Layout(num_disks, parity_group_size, /*parity_blocks=*/2) {}
-};
-
-// Layout for the Improved-bandwidth scheme (Section 4, Figure 8): clusters
-// hold C-1 disks, all of which store data; the parity block of a group on
-// cluster i is stored on a disk of cluster i+1 (rotating over that
-// cluster's disks so parity load spreads evenly). Every disk therefore
-// holds a (C-1)/C fraction of data and a 1/C fraction of parity, and —
-// as the paper notes for disk 4 of Figure 8 — belongs to two parity
-// groups' worlds: data for its own cluster, parity for its left neighbor.
-class ImprovedBandwidthLayout : public Layout {
- public:
-  // `num_disks` must be a positive multiple of C-1 and give >= 2 clusters
-  // (parity must land on a different cluster than its data).
-  static StatusOr<std::unique_ptr<ImprovedBandwidthLayout>> Create(
-      int num_disks, int parity_group_size);
-
-  Scheme scheme_family() const override {
-    return Scheme::kImprovedBandwidth;
-  }
-  int num_clusters() const override {
-    return num_disks() / disks_per_cluster();
-  }
-  int disks_per_cluster() const override { return parity_group_size() - 1; }
-
-  BlockLocation DataLocation(int object_id, int64_t track) const override;
-  BlockLocation ParityLocation(int object_id, int64_t group) const override;
-
- private:
-  ImprovedBandwidthLayout(int num_disks, int parity_group_size)
-      : Layout(num_disks, parity_group_size) {}
-};
-
-// ABLATION layout: no striping — every group of an object stays on its
-// home cluster (as if each movie lived contiguously on one small array).
-// The paper's designs stripe "over all the data disks" precisely to
-// avoid what this layout exhibits: a popular title's entire load lands
-// on one cluster while the rest of the farm idles. Used by the striping
-// ablation bench; scheduling-compatible with the clustered schemes.
-class NonStripedLayout : public ClusteredLayout {
- public:
-  static StatusOr<std::unique_ptr<NonStripedLayout>> Create(
-      int num_disks, int parity_group_size);
-
-  int GroupCluster(int object_id, int64_t /*group*/) const override {
-    return HomeCluster(object_id);
-  }
-  bool striped() const override { return false; }
-
- protected:
-  NonStripedLayout(int num_disks, int parity_group_size)
-      : ClusteredLayout(num_disks, parity_group_size) {}
-};
-
-// Factory dispatching on scheme.
+// Builds the layout `scheme` places blocks with on `num_disks` disks and
+// parity groups of `parity_group_size` (C). Clustered schemes need a
+// positive multiple of C disks (and C >= 3 for P+Q); Improved-bandwidth
+// needs a multiple of C-1 giving at least two clusters. `striped = false`
+// builds the non-striped ablation (bench_striping).
 StatusOr<std::unique_ptr<Layout>> CreateLayout(Scheme scheme, int num_disks,
-                                               int parity_group_size);
+                                               int parity_group_size,
+                                               bool striped = true);
 
 }  // namespace ftms
 

@@ -63,14 +63,6 @@ constexpr Scheme BaseScheme(Scheme scheme) {
   }
 }
 
-// True for the schemes whose clusters own dedicated parity disks
-// (SR / SG / NC and the dual-parity variants); false for
-// Improved-bandwidth, where parity for cluster i is spread over the
-// disks of cluster i+1 and every disk serves data.
-constexpr bool UsesDedicatedParityDisk(Scheme scheme) {
-  return scheme != Scheme::kImprovedBandwidth;
-}
-
 }  // namespace ftms
 
 #endif  // FTMS_LAYOUT_SCHEMES_H_

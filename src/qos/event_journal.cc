@@ -3,9 +3,13 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 
 #include "util/json.h"
+#include "util/log.h"
 #include "util/metrics.h"
+#include "util/parse.h"
 
 namespace ftms {
 
@@ -55,8 +59,15 @@ size_t ResolveMaxEventsFromEnv() {
   if (env == nullptr || env[0] == '\0') {
     return EventJournal::kDefaultMaxEvents;
   }
-  const long long v = std::atoll(env);
-  return v <= 0 ? 0 : static_cast<size_t>(v);
+  const std::optional<int64_t> v =
+      ParseDecimal(env, 0, std::numeric_limits<int64_t>::max());
+  if (!v) {
+    FTMS_LOG(Warning) << "FTMS_QOS_MAX_EVENTS must be a whole number of "
+                         "events (0 = no cap), got '"
+                      << env << "'; keeping the default cap";
+    return EventJournal::kDefaultMaxEvents;
+  }
+  return static_cast<size_t>(*v);
 }
 
 }  // namespace

@@ -66,7 +66,8 @@ class EventJournal {
  public:
   static constexpr size_t kDefaultMaxEvents = 262144;
 
-  // Reads FTMS_QOS_MAX_EVENTS (absent -> kDefaultMaxEvents, 0 -> no cap).
+  // Reads FTMS_QOS_MAX_EVENTS (absent -> kDefaultMaxEvents, 0 -> no cap;
+  // anything but a whole number warns and keeps the default).
   EventJournal();
   explicit EventJournal(size_t max_events) : max_events_(max_events) {}
   EventJournal(const EventJournal&) = delete;

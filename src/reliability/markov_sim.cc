@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "layout/layout.h"
 #include "util/metrics.h"
 #include "util/profiler.h"
 #include "util/thread_pool.h"
@@ -166,33 +167,18 @@ ReliabilityEstimate RunTrials(const ReliabilitySimConfig& c,
 StatusOr<ReliabilityEstimate> EstimateMttfCatastrophic(
     const ReliabilitySimConfig& config) {
   FTMS_RETURN_IF_ERROR(Validate(config));
-  const bool ib = config.scheme == Scheme::kImprovedBandwidth;
-  const int cluster_size =
-      ib ? config.parity_group_size - 1 : config.parity_group_size;
-  if (config.num_disks % cluster_size != 0) {
-    return Status::InvalidArgument(
-        "num_disks must be a multiple of the cluster size");
-  }
-  const int clusters = config.num_disks / cluster_size;
-  // Single-parity clusters die at two concurrent failures; dual-parity
-  // (P+Q) clusters survive two and die at three.
-  const int fatal = ParityDisksPerCluster(config.scheme) >= 2 ? 3 : 2;
-
-  return RunTrials(
-      config, cluster_size, "catastrophic",
-      [ib, clusters, cluster_size,
-       fatal](const std::vector<int>& down_per_cluster, int /*total*/,
-              int disk) {
-        const int cl = disk / cluster_size;
-        if (down_per_cluster[static_cast<size_t>(cl)] >= fatal) return true;
-        if (!ib) return false;
-        // IB: a down disk in an adjacent cluster is also fatal (shared
-        // parity dependency across the cluster boundary).
-        const int left = (cl + clusters - 1) % clusters;
-        const int right = (cl + 1) % clusters;
-        return down_per_cluster[static_cast<size_t>(left)] > 0 ||
-               down_per_cluster[static_cast<size_t>(right)] > 0;
-      });
+  StatusOr<std::unique_ptr<Layout>> created =
+      CreateLayout(config.scheme, config.num_disks, config.parity_group_size);
+  if (!created.ok()) return created.status();
+  const Layout& layout = **created;
+  // A trial ends at the first failure that loses a group; only groups
+  // touching the failed disk's cluster can have changed.
+  return RunTrials(config, layout.disks_per_cluster(), "catastrophic",
+                   [&layout](const std::vector<int>& down_per_cluster,
+                             int /*total*/, int disk) {
+                     return layout.LosesGroupAt(down_per_cluster,
+                                                layout.ClusterOfDisk(disk));
+                   });
 }
 
 StatusOr<ReliabilityEstimate> EstimateKDegradedClusters(

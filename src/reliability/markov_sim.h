@@ -18,13 +18,13 @@ namespace ftms {
 // event occurs; the estimate is the mean over trials with a 95% CI.
 //
 // Events:
-//  * catastrophic, clustered schemes: two disks of one C-disk cluster are
-//    down simultaneously (the group's data can no longer be reconstructed);
-//    the dual-parity variants (SR-2/NC-2) survive two and die at THREE
-//    down disks in one cluster — P+Q repairs any two erasures;
-//  * catastrophic, Improved-bandwidth: two down disks in the same or in
-//    adjacent (C-1)-disk clusters — disks serve their own cluster's data
-//    AND the left neighbor's parity, so adjacency is fatal (Section 4);
+//  * catastrophic: the scheme's layout loses a group (Layout::LosesGroup).
+//    For clustered schemes that is two disks of one C-disk cluster down
+//    simultaneously, or THREE for the dual-parity variants (SR-2/NC-2),
+//    whose P+Q repairs any two erasures. For Improved-bandwidth it is two
+//    down disks in the same or in adjacent (C-1)-disk clusters — disks
+//    serve their own cluster's data AND the left neighbor's parity, so
+//    adjacency is fatal (Section 4);
 //  * degradation of service: `k_concurrent` disks down simultaneously
 //    anywhere in the farm (buffer-server pool / reserved bandwidth
 //    exhausted) — the event behind equation (6).

@@ -39,48 +39,11 @@ struct CycleScheduler::Instruments {
   SchedulerMetrics last;  // previous cycle's totals, for counter deltas
 };
 
-namespace {
-
-#ifndef NDEBUG
-// Cross-checks the devirtualized geometry against the virtual layout on a
-// sample of blocks/disks, so a Layout subclass whose overrides disagree
-// with Geom()'s snapshot fails loudly at construction.
-void ValidateGeom(const LayoutGeom& g, const Layout& layout) {
-  const int num_disks = layout.num_clusters() * layout.disks_per_cluster();
-  const int64_t tracks = std::max<int64_t>(
-      1, static_cast<int64_t>(layout.DataBlocksPerGroup()) * 4 + 3);
-  for (int obj = 0; obj < 3; ++obj) {
-    for (int64_t t = 0; t < tracks; ++t) {
-      const BlockLocation want = layout.DataLocation(obj, t);
-      assert(g.DataDiskOf(obj, static_cast<uint32_t>(t)) == want.disk);
-      const uint32_t group = g.GroupOf(static_cast<uint32_t>(t));
-      const BlockLocation parity = layout.ParityLocation(obj, group);
-      assert(g.ParityDisk(static_cast<uint32_t>(obj), group,
-                          g.GroupCluster(static_cast<uint32_t>(obj),
-                                         group)) == parity.disk);
-      assert(g.GroupCluster(static_cast<uint32_t>(obj), group) ==
-             layout.GroupCluster(obj, group));
-    }
-  }
-  for (int d = 0; d < num_disks; ++d) {
-    assert(static_cast<int>(g.ClusterOfDisk(static_cast<uint32_t>(d))) ==
-           d / layout.disks_per_cluster());
-  }
-}
-#endif
-
-}  // namespace
-
 CycleScheduler::CycleScheduler(const SchedulerConfig& config,
                                DiskArray* disks, const Layout* layout)
-    : disks_(disks), layout_(layout), config_(config),
-      geom_(layout != nullptr ? layout->Geom() : LayoutGeom{}), pool_(0),
+    : disks_(disks), layout_(*layout), config_(config), pool_(0),
       mid_cycle_failed_(disks != nullptr ? disks->num_disks() : 0) {
   assert(disks_ != nullptr);
-  assert(layout_ != nullptr);
-#ifndef NDEBUG
-  ValidateGeom(geom_, *layout_);
-#endif
   slots_per_disk_ = config_.slots_per_disk > 0
                         ? config_.slots_per_disk
                         : config_.disk.TracksPerCycle(CycleSeconds());
@@ -110,7 +73,7 @@ void CycleScheduler::InitInstruments() {
     return LabeledName(family,
                        {{"scheme", scheme}, {key, std::to_string(i)}});
   };
-  for (int c = 0; c < layout_->num_clusters(); ++c) {
+  for (int c = 0; c < layout_.num_clusters(); ++c) {
     instr_->cluster_degraded.push_back(registry->GetCounter(
         indexed("ftms_sched_degraded_reads_total", "cluster", c),
         "reads attempted on a failed disk, by cluster"));
@@ -224,6 +187,7 @@ double CycleScheduler::CycleSeconds() const {
 }
 
 StatusOr<StreamId> CycleScheduler::AddStream(const MediaObject& object) {
+  FTMS_RETURN_IF_ERROR(Layout::CheckObject(object));
   const bool servable = object.num_tracks > 0 &&
                         SupportsRate(object.rate_mb_s);
   if (instr_ != nullptr) {

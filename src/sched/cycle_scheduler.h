@@ -192,7 +192,7 @@ class CycleScheduler {
   // attach their own series under the same prefix.
   TimeSeriesRecorder* timeseries_recorder() const { return ts_; }
   const std::string& timeseries_prefix() const { return ts_prefix_; }
-  int num_clusters() const { return layout_->num_clusters(); }
+  int num_clusters() const { return layout_.num_clusters(); }
 
   // All streams ever admitted (active and finished).
   const std::vector<std::unique_ptr<Stream>>& streams() const {
@@ -338,12 +338,10 @@ class CycleScheduler {
   const StreamTable& stream_table() const { return table_; }
 
   DiskArray* disks_;
-  const Layout* layout_;
+  // The scheduler's own copy of the layout: every per-read location
+  // query is inline arithmetic on this member, with no indirection.
+  const Layout layout_;
   SchedulerConfig config_;
-  // Devirtualized layout geometry (validated against `layout_` at
-  // construction in debug builds): all per-read location math goes
-  // through this, not the virtual interface.
-  LayoutGeom geom_;
   SchedulerMetrics metrics_;
 
  private:

@@ -46,8 +46,8 @@ void ImprovedBandwidthScheduler::DeliverGroup(Stream* stream,
     if (!on_time && can_reconstruct) {
       on_time = true;
       ++metrics_.reconstructed;
-      CountReconstruction(geom_.GroupCluster(
-          stream->object().id, geom_.GroupOf(buf->first_track)));
+      CountReconstruction(layout_.GroupCluster(
+          stream->object().id, layout_.GroupOf(buf->first_track)));
     }
     DeliverTrack(stream, on_time);
   }
@@ -62,7 +62,7 @@ void ImprovedBandwidthScheduler::PlanStreamReads(Stream* stream,
     return;
   }
   if (buf->ready) return;  // still holding an undelivered group
-  const int per_group = geom_.per_group;
+  const int per_group = layout_.DataBlocksPerGroup();
   const int64_t first = stream->position();
   const MediaObject& object = stream->object();
   const int tracks = static_cast<int>(
@@ -78,9 +78,9 @@ void ImprovedBandwidthScheduler::PlanStreamReads(Stream* stream,
   // Delivery always consumes whole groups, so `first` is group-aligned
   // and data position i of the group is disk i of the group's cluster.
   assert(first % per_group == 0);
-  const int cluster = geom_.GroupCluster(object.id, geom_.GroupOf(first));
+  const int cluster = layout_.GroupCluster(object.id, layout_.GroupOf(first));
   for (int i = 0; i < tracks; ++i) {
-    const int disk = geom_.DataDisk(cluster, i);
+    const int disk = layout_.DataDisk(cluster, i);
     auto& disk_plan = plan_[static_cast<size_t>(disk)];
     if (!PlannerSeesUp(disk)) {
       // Known failure: skip the read; parity substitution follows in
@@ -115,16 +115,16 @@ bool ImprovedBandwidthScheduler::PlaceParityRead(StreamId stream,
                                                  int depth) {
   metrics_.max_shift_depth =
       std::max<int64_t>(metrics_.max_shift_depth, depth);
-  if (depth > layout_->num_clusters()) {
+  if (depth > layout_.num_clusters()) {
     // The shift wrapped all the way around without finding idle capacity.
     return false;
   }
   Stream* s = FindStream(stream);
   const GroupBuffer& buf = state_[static_cast<size_t>(stream)];
-  const int64_t group = geom_.GroupOf(buf.first_track);
+  const int64_t group = layout_.GroupOf(buf.first_track);
   const int object_id = s->object().id;
-  const int parity_disk = geom_.ParityDisk(
-      object_id, group, geom_.GroupCluster(object_id, group));
+  const int parity_disk = layout_.ParityDisk(
+      object_id, group, layout_.GroupCluster(object_id, group));
   if (!PlannerSeesUp(parity_disk)) {
     // Parity disk itself is down: a second failure in an adjacent
     // cluster — catastrophic for this group (Section 4).
@@ -181,9 +181,9 @@ void ImprovedBandwidthScheduler::PlanPrefetchParity() {
     if (state[id] != StreamState::kActive) continue;
     const GroupBuffer& buf = state_[static_cast<size_t>(id)];
     if (!buf.ready || parity_planned_[static_cast<size_t>(id)]) continue;
-    const int64_t group = geom_.GroupOf(buf.first_track);
-    const int parity_disk = geom_.ParityDisk(
-        object_id[id], group, geom_.GroupCluster(object_id[id], group));
+    const int64_t group = layout_.GroupOf(buf.first_track);
+    const int parity_disk = layout_.ParityDisk(
+        object_id[id], group, layout_.GroupCluster(object_id[id], group));
     auto& disk_plan = plan_[static_cast<size_t>(parity_disk)];
     if (PlannerSeesUp(parity_disk) &&
         static_cast<int>(disk_plan.size()) < slots_per_disk()) {

@@ -20,33 +20,29 @@ void NonClusteredScheduler::DoAddStream(Stream* stream) {
   NcState& st = state_[static_cast<size_t>(stream->id())];
   // One group plus the largest rate-multiplier burst; sized here so the
   // per-cycle buffering path never allocates.
-  st.buffered.Reserve(static_cast<size_t>(layout_->parity_group_size()) +
+  st.buffered.Reserve(static_cast<size_t>(layout_.parity_group_size()) +
                       16);
   st.multiplier = RateMultiplier(*stream);
 }
 
 int NonClusteredScheduler::FailedDataIndex(int cluster) const {
-  const int c = layout_->parity_group_size();
-  const int data_slots = c - layout_->parity_blocks();
-  for (int i = 0; i < data_slots; ++i) {
-    if (!disks_->disk(cluster * c + i).operational()) return i;
+  for (int i = 0; i < layout_.DataBlocksPerGroup(); ++i) {
+    if (!disks_->DiskUp(layout_.DataDisk(cluster, i))) return i;
   }
   return -1;
 }
 
 int NonClusteredScheduler::NumFailedData(int cluster) const {
   // O(1) from the array's per-cluster failure count: every disk of the
-  // cluster except the trailing parity slot(s) is a data disk.
-  const int parity_failed =
-      layout_->parity_blocks() - ParityDisksUp(cluster);
+  // cluster except the dedicated parity slot(s) is a data disk.
+  const int parity_failed = layout_.parity_slots() - ParityDisksUp(cluster);
   return disks_->NumFailedInCluster(cluster) - parity_failed;
 }
 
 int NonClusteredScheduler::ParityDisksUp(int cluster) const {
-  const int c = layout_->parity_group_size();
   int up = 0;
-  for (int s = c - layout_->parity_blocks(); s < c; ++s) {
-    if (disks_->DiskUp(cluster * c + s)) ++up;
+  for (int k = 0; k < layout_.parity_slots(); ++k) {
+    if (disks_->DiskUp(layout_.DedicatedParityDisk(cluster, k))) ++up;
   }
   return up;
 }
@@ -104,10 +100,10 @@ void NonClusteredScheduler::DeliverOneTrack(Stream* stream, NcState* st) {
   }
   // Deferred strategy: while a group's reconstruction is pending, fold
   // the delivered track into the running XOR instead of discarding it.
-  const int64_t group = geom_.GroupOf(p);
+  const int64_t group = layout_.GroupOf(p);
   if (config_.nc_transition == NcTransition::kDeferredRead &&
       st->acc_group == group && have &&
-      geom_.PositionInGroup(p) == st->acc_prefix) {
+      layout_.PositionInGroup(p) == st->acc_prefix) {
     if (!st->acc_held) {
       AcquireBuffers(1);  // the accumulator buffer
       st->acc_held = true;
@@ -118,7 +114,7 @@ void NonClusteredScheduler::DeliverOneTrack(Stream* stream, NcState* st) {
   // Drop a stale accumulator at group end (e.g. the disk was repaired
   // before the reconstruction deadline) or at stream end.
   const bool group_done =
-      geom_.PositionInGroup(p) == geom_.per_group - 1;
+      layout_.PositionInGroup(p) == layout_.DataBlocksPerGroup() - 1;
   if ((stream->state() != StreamState::kActive || group_done) &&
       st->acc_group == group) {
     if (st->acc_held) {
@@ -133,8 +129,8 @@ void NonClusteredScheduler::DeliverOneTrack(Stream* stream, NcState* st) {
 void NonClusteredScheduler::ReadGroupNow(Stream* stream, NcState* st,
                                          int64_t group, bool with_server) {
   const int object_id = stream->object().id;
-  const int per_group = geom_.per_group;
-  const int cluster = geom_.GroupCluster(object_id, group);
+  const int per_group = layout_.DataBlocksPerGroup();
+  const int cluster = layout_.GroupCluster(object_id, group);
   const int64_t first = group * per_group;
   const int64_t last = std::min<int64_t>(first + per_group,
                                          stream->object().num_tracks);
@@ -148,7 +144,7 @@ void NonClusteredScheduler::ReadGroupNow(Stream* stream, NcState* st,
     // Position of t within this group is t - first (the loop stays inside
     // one group), so the disk is inline arithmetic off the group cluster.
     const int disk =
-        geom_.DataDisk(cluster, static_cast<int>(t - first));
+        layout_.DataDisk(cluster, static_cast<int>(t - first));
     if (!DiskUp(disk)) {
       // The planner never issues reads to a known-dead disk, so record
       // the degraded read here — TryRead can't see skipped attempts.
@@ -177,17 +173,17 @@ void NonClusteredScheduler::ReadGroupNow(Stream* stream, NcState* st,
       // Tracks delivered before this group read must be in the XOR
       // accumulator (deferred) -- otherwise they are gone.
       prefix_ok = st->acc_group == group &&
-                  st->acc_prefix >= geom_.PositionInGroup(t) + 1;
+                  st->acc_prefix >= layout_.PositionInGroup(t) + 1;
       if (!prefix_ok) break;
     }
     int parity_reads_ok = 0;
     if (CanReconstruct(cluster) && missing_count <= ParityDisksUp(cluster) &&
         with_server && prefix_ok && all_survivors_ok) {
       AcquireBuffers(missing_count);
-      const int c = geom_.disks_per_cluster;
-      for (int s = c - geom_.parity_blocks;
-           s < c && parity_reads_ok < missing_count; ++s) {
-        const int disk = geom_.DataDisk(cluster, s);
+      for (int k = 0;
+           k < layout_.parity_slots() && parity_reads_ok < missing_count;
+           ++k) {
+        const int disk = layout_.DedicatedParityDisk(cluster, k);
         if (!DiskUp(disk)) continue;
         if (TryRead(disk, /*is_parity=*/true) == ReadOutcome::kOk) {
           ++parity_reads_ok;
@@ -226,13 +222,13 @@ void NonClusteredScheduler::GroupReadStream(Stream* stream, NcState* st) {
     const int64_t due = first_due + k;
     if (due >= stream->object().num_tracks) break;
     if (st->buffered.Contains(due)) continue;
-    const int64_t group = geom_.GroupOf(due);
+    const int64_t group = layout_.GroupOf(due);
     const int cluster =
-        geom_.GroupCluster(stream->object().id, group);
+        layout_.GroupCluster(stream->object().id, group);
     if (!ClusterDegraded(cluster)) continue;
     const bool with_server =
         server_attached_[static_cast<size_t>(cluster)];
-    const int pos = geom_.PositionInGroup(due);
+    const int pos = layout_.PositionInGroup(due);
     const int failed = FailedDataIndex(cluster);
 
     if (config_.nc_transition == NcTransition::kImmediateShift) {
@@ -273,11 +269,11 @@ void NonClusteredScheduler::NormalReadStream(Stream* stream, NcState* st) {
       st->started = true;  // a group read already staged this track
       continue;
     }
-    const int disk = geom_.DataDiskOf(object_id, due);
+    const int disk = layout_.DataDiskOf(object_id, due);
     if (!DiskUp(disk)) {
       // Lost to the failure; the delivery phase will record the hiccup
       // when the track comes due.
-      CountDegradedRead(geom_.ClusterOfDisk(disk));
+      CountDegradedRead(layout_.ClusterOfDisk(disk));
       st->started = true;
       continue;
     }
@@ -319,11 +315,8 @@ void NonClusteredScheduler::DoOnStreamStopped(Stream* stream) {
 }
 
 void NonClusteredScheduler::DoOnDiskFailed(int disk) {
-  const int cluster = disk / layout_->parity_group_size();
-  const int index = disk % layout_->parity_group_size();
-  const int data_slots =
-      layout_->parity_group_size() - layout_->parity_blocks();
-  if (index >= data_slots) return;  // parity disk (P or Q)
+  if (layout_.IsParityDisk(disk)) return;  // P or Q: no data lost
+  const int cluster = layout_.ClusterOfDisk(disk);
   if (!server_attached_[static_cast<size_t>(cluster)]) {
     if (servers_.AttachToCluster(cluster).ok()) {
       server_attached_[static_cast<size_t>(cluster)] = true;
@@ -336,7 +329,7 @@ void NonClusteredScheduler::DoOnDiskFailed(int disk) {
 }
 
 void NonClusteredScheduler::DoOnDiskRepaired(int disk) {
-  const int cluster = disk / layout_->parity_group_size();
+  const int cluster = layout_.ClusterOfDisk(disk);
   if (!ClusterDegraded(cluster) &&
       server_attached_[static_cast<size_t>(cluster)]) {
     servers_.DetachFromCluster(cluster).ok();

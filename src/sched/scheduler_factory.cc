@@ -1,4 +1,5 @@
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "sched/cycle_scheduler.h"
@@ -18,19 +19,10 @@ StatusOr<std::unique_ptr<CycleScheduler>> CreateScheduler(
     return Status::InvalidArgument(
         "scheduler parity group size differs from the layout's");
   }
-  if (config.scheme == Scheme::kImprovedBandwidth &&
-      layout->scheme_family() != Scheme::kImprovedBandwidth) {
+  if (!layout->Serves(config.scheme)) {
     return Status::InvalidArgument(
-        "Improved-bandwidth scheduling requires the IB layout");
-  }
-  if (config.scheme != Scheme::kImprovedBandwidth &&
-      layout->scheme_family() == Scheme::kImprovedBandwidth) {
-    return Status::InvalidArgument(
-        "clustered schedulers require the clustered layout");
-  }
-  if (IsDualParity(config.scheme) != (layout->parity_blocks() == 2)) {
-    return Status::InvalidArgument(
-        "dual-parity schemes and the dual-parity layout must be paired");
+        std::string(SchemeName(config.scheme)) +
+        " scheduling needs the layout CreateLayout builds for it");
   }
   std::unique_ptr<CycleScheduler> sched;
   switch (config.scheme) {

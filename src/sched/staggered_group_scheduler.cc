@@ -13,14 +13,14 @@ void StaggeredGroupScheduler::DoAddStream(Stream* stream) {
   state_.resize(std::max(state_.size(),
                          static_cast<size_t>(stream->id()) + 1));
   next_phase_per_cluster_.resize(
-      static_cast<size_t>(layout_->num_clusters()), 0);
+      static_cast<size_t>(layout_.num_clusters()), 0);
   SgState& st = state_[static_cast<size_t>(stream->id())];
   // Staggered phase assignment: spread each cluster's streams over the
   // C-1 read phases round-robin, so both the disk load and the memory
   // peaks are out of phase (Figure 4).
   const size_t home =
-      static_cast<size_t>(geom_.HomeCluster(stream->object().id));
-  st.phase = next_phase_per_cluster_[home]++ % geom_.per_group;
+      static_cast<size_t>(layout_.HomeCluster(stream->object().id));
+  st.phase = next_phase_per_cluster_[home]++ % layout_.DataBlocksPerGroup();
 }
 
 int64_t StaggeredGroupScheduler::BufferedTracksOf(StreamId id) const {
@@ -38,10 +38,10 @@ void StaggeredGroupScheduler::DoOnStreamStopped(Stream* stream) {
 }
 
 void StaggeredGroupScheduler::ReadGroup(Stream* stream, SgState* st) {
-  const int per_group = geom_.per_group;
+  const int per_group = layout_.DataBlocksPerGroup();
   const int64_t first = stream->position();
   assert(first % per_group == 0);
-  const int64_t group = geom_.GroupOf(first);
+  const int64_t group = layout_.GroupOf(first);
   const MediaObject& object = stream->object();
   const int tracks = static_cast<int>(
       std::min<int64_t>(per_group, object.num_tracks - first));
@@ -53,15 +53,15 @@ void StaggeredGroupScheduler::ReadGroup(Stream* stream, SgState* st) {
   st->have.assign(static_cast<size_t>(tracks), false);
 
   // Group-aligned read: data position i is disk i of the group's cluster.
-  const int cluster = geom_.GroupCluster(object.id, group);
+  const int cluster = layout_.GroupCluster(object.id, group);
   for (int i = 0; i < tracks; ++i) {
-    const bool ok = TryRead(geom_.DataDisk(cluster, i),
+    const bool ok = TryRead(layout_.DataDisk(cluster, i),
                             /*is_parity=*/false) == ReadOutcome::kOk;
     st->have[static_cast<size_t>(i)] = ok;
     if (!ok) ++st->missing;
   }
   st->parity_ok =
-      TryRead(geom_.ParityDisk(object.id, group, cluster),
+      TryRead(layout_.ParityDisk(object.id, group, cluster),
               /*is_parity=*/true) == ReadOutcome::kOk;
 
   st->buffered_tracks = tracks + 1;  // group + parity held in memory
@@ -80,8 +80,8 @@ void StaggeredGroupScheduler::DeliverOne(Stream* stream, SgState* st) {
     // the group was read in full before its first delivery cycle).
     on_time = true;
     ++metrics_.reconstructed;
-    CountReconstruction(geom_.GroupCluster(
-        stream->object().id, geom_.GroupOf(stream->position())));
+    CountReconstruction(layout_.GroupCluster(
+        stream->object().id, layout_.GroupOf(stream->position())));
   }
   DeliverTrack(stream, on_time);
   ++st->delivered;

@@ -52,8 +52,7 @@ class StaggeredGroupScheduler : public CycleScheduler {
   bool IsReadCycle(const SgState& st) const {
     const int64_t since = cycle() - st.phase;
     if (since < 0) return false;
-    assert(since <= INT64_C(0xffffffff));
-    return geom_.per_group_div.Mod(static_cast<uint32_t>(since)) == 0;
+    return layout_.PositionInGroup(since) == 0;
   }
   void ReadGroup(Stream* stream, SgState* st);
   void DeliverOne(Stream* stream, SgState* st);

@@ -28,7 +28,7 @@ void StreamingRaidScheduler::DoOnStreamStopped(Stream* stream) {
 
 bool StreamingRaidScheduler::RepairGroupBytes(GroupBuffer* buf,
                                               VerifyScratch* scratch) {
-  if (geom_.parity_blocks == 2) {
+  if (layout_.parity_blocks() == 2) {
     // Dual parity: hand every erased unit (missing data positions, P at
     // index k, Q at k+1) to the GF(2^8) codec in one call. Erased units
     // need correctly sized placeholder blocks.
@@ -102,8 +102,8 @@ void StreamingRaidScheduler::DeliverGroup(Stream* stream, GroupBuffer* buf,
     if (!on_time && can_reconstruct) {
       on_time = true;
       ++metrics_.reconstructed;
-      CountReconstruction(geom_.GroupCluster(
-          stream->object().id, geom_.GroupOf(buf->first_track)));
+      CountReconstruction(layout_.GroupCluster(
+          stream->object().id, layout_.GroupOf(buf->first_track)));
     }
     if (config_.verify_data && on_time) {
       ++metrics_.verified_tracks;
@@ -125,9 +125,9 @@ void StreamingRaidScheduler::DeliverGroup(Stream* stream, GroupBuffer* buf,
 
 void StreamingRaidScheduler::ReadNextGroup(Stream* stream, GroupBuffer* buf,
                                            VerifyScratch* scratch) {
-  const int per_group = geom_.per_group;
+  const int per_group = layout_.DataBlocksPerGroup();
   const int64_t first = stream->position();
-  const int64_t group = geom_.GroupOf(first);
+  const int64_t group = layout_.GroupOf(first);
   assert(first % per_group == 0);
   const MediaObject& object = stream->object();
   const int tracks = static_cast<int>(
@@ -146,9 +146,9 @@ void StreamingRaidScheduler::ReadNextGroup(Stream* stream, GroupBuffer* buf,
   }
   // The group is aligned (first % per_group == 0), so data position i of
   // the group is track first + i on disk i of the group's cluster.
-  const int cluster = geom_.GroupCluster(object.id, group);
+  const int cluster = layout_.GroupCluster(object.id, group);
   for (int i = 0; i < tracks; ++i) {
-    const bool ok = TryRead(geom_.DataDisk(cluster, i),
+    const bool ok = TryRead(layout_.DataDisk(cluster, i),
                             /*is_parity=*/false) == ReadOutcome::kOk;
     buf->have[static_cast<size_t>(i)] = ok;
     if (!ok) ++buf->missing;
@@ -158,21 +158,21 @@ void StreamingRaidScheduler::ReadNextGroup(Stream* stream, GroupBuffer* buf,
     }
   }
   buf->parity_ok =
-      TryRead(geom_.ParityDisk(object.id, group, cluster),
+      TryRead(layout_.ParityDisk(object.id, group, cluster),
               /*is_parity=*/true) == ReadOutcome::kOk;
   if (config_.verify_data && buf->parity_ok) {
     const Status status = SynthesizeParityBlockInto(
-        *layout_, object.id, group, object.num_tracks, kVerifyBlockBytes,
+        layout_, object.id, group, object.num_tracks, kVerifyBlockBytes,
         &buf->parity, &scratch->parity_scratch);
     if (!status.ok()) buf->parity.clear();
   }
   buf->q_ok = false;
-  if (geom_.parity_blocks == 2) {
-    buf->q_ok = TryRead(geom_.QParityDisk(cluster),
+  if (layout_.parity_blocks() == 2) {
+    buf->q_ok = TryRead(layout_.QParityDisk(cluster),
                         /*is_parity=*/true) == ReadOutcome::kOk;
     if (config_.verify_data && buf->q_ok) {
       const Status status = SynthesizeQParityBlockInto(
-          *layout_, object.id, group, object.num_tracks, kVerifyBlockBytes,
+          layout_, object.id, group, object.num_tracks, kVerifyBlockBytes,
           &buf->qparity, &scratch->parity_scratch);
       if (!status.ok()) buf->qparity.clear();
     }
@@ -180,7 +180,7 @@ void StreamingRaidScheduler::ReadNextGroup(Stream* stream, GroupBuffer* buf,
 
   // Group in memory until delivered: the data tracks plus every parity
   // track (one for SR, P and Q for SR-2).
-  buf->buffered_tracks = tracks + geom_.parity_blocks;
+  buf->buffered_tracks = tracks + layout_.parity_blocks();
   AcquireBuffers(buf->buffered_tracks);
 }
 

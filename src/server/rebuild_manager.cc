@@ -68,26 +68,6 @@ QosEvent RebuildManager::JournalEvent(QosEventKind kind, int disk,
   return event;
 }
 
-std::vector<int> RebuildManager::SourceDisks(int disk) const {
-  std::vector<int> sources;
-  const int cluster = disks_->ClusterOf(disk);
-  // Every other member of the disk's cluster contributes to each
-  // regenerated track's XOR.
-  for (int i = 0; i < disks_->cluster_size(); ++i) {
-    const int d = disks_->DiskId(cluster, i);
-    if (d != disk) sources.push_back(d);
-  }
-  if (layout_->scheme_family() == Scheme::kImprovedBandwidth) {
-    // The parity blocks live on the right-hand neighbor cluster
-    // (rotating over its disks), so its members are sources too.
-    const int parity_cluster = (cluster + 1) % disks_->num_clusters();
-    for (int i = 0; i < disks_->cluster_size(); ++i) {
-      sources.push_back(disks_->DiskId(parity_cluster, i));
-    }
-  }
-  return sources;
-}
-
 Status RebuildManager::StartRebuild(int disk) {
   if (disk < 0 || disk >= disks_->num_disks()) {
     return Status::OutOfRange("disk id out of range");
@@ -107,7 +87,7 @@ Status RebuildManager::StartRebuild(int disk) {
   // rebuild can run while a second cluster disk is still down.
   const int tolerated_down = layout_->parity_blocks() - 1;
   int down_sources = 0;
-  for (int source : SourceDisks(disk)) {
+  for (int source : layout_->RebuildSources(disk)) {
     if (!disks_->disk(source).operational() &&
         ++down_sources > tolerated_down) {
       return Status::FailedPrecondition(
@@ -144,7 +124,7 @@ void RebuildManager::AdvanceOneCycle() {
   int idle = scheduler_->slots_per_disk();
   int down_sources = 0;
   const int tolerated_down = layout_->parity_blocks() - 1;
-  for (int source : SourceDisks(active_disk_)) {
+  for (int source : layout_->RebuildSources(active_disk_)) {
     if (!disks_->disk(source).operational()) {
       if (++down_sources > tolerated_down) {
         idle = 0;  // sources died mid-rebuild: stall until repaired
@@ -250,7 +230,7 @@ void RebuildManager::RefreshDataFailedSet() {
   // accounting.
   data_failed_.Clear();
   data_failed_.Add(active_disk_);
-  for (int source : SourceDisks(active_disk_)) {
+  for (int source : layout_->RebuildSources(active_disk_)) {
     if (!disks_->disk(source).operational()) data_failed_.Add(source);
   }
 }

@@ -78,8 +78,6 @@ class RebuildManager {
   double Progress() const;
 
  private:
-  // Source disks whose idle slots gate this cycle's progress.
-  std::vector<int> SourceDisks(int disk) const;
   // Derives the attached object's tracks resident on the active disk.
   void PrepareDataRebuild();
   // Rebuilt disk plus any currently-down sources (dual-parity layouts

@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "model/capacity.h"
-#include "telemetry/http.h"
+#include "util/parse.h"
 
 namespace ftms {
 
@@ -276,21 +276,7 @@ Status MultimediaServer::RepairDisk(int disk) {
 }
 
 bool MultimediaServer::CatastrophicFailure() const {
-  if (config_.scheme != Scheme::kImprovedBandwidth) {
-    return disks_->HasCatastrophicClusterFailure();
-  }
-  // IB: two failures in the same or adjacent clusters are catastrophic
-  // (Section 4: disks belong to two parity groups' worlds).
-  const int nc = layout_->num_clusters();
-  for (int cl = 0; cl < nc; ++cl) {
-    const int here = disks_->NumFailedInCluster(cl);
-    if (here >= 2) return true;
-    if (here >= 1 && nc > 1 &&
-        disks_->NumFailedInCluster((cl + 1) % nc) >= 1) {
-      return true;
-    }
-  }
-  return false;
+  return layout_->LosesGroup(disks_->FailedPerCluster());
 }
 
 double MultimediaServer::NowSeconds() const {

@@ -108,8 +108,9 @@ class MultimediaServer {
   // (RebuildManager::AttachDataPath) and rebuild drills.
   RebuildManager& mutable_rebuild() { return *rebuild_; }
 
-  // True when some parity group has lost two members: data must be
-  // reloaded from tertiary storage (Section 1's catastrophic failure).
+  // True when some parity group has lost more members than it has parity
+  // blocks (Layout::LosesGroup): data must be reloaded from tertiary
+  // storage (Section 1's catastrophic failure).
   bool CatastrophicFailure() const;
 
   const ServerConfig& config() const { return config_; }

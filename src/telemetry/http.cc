@@ -9,22 +9,11 @@
 
 #include <cctype>
 #include <cerrno>
-#include <charconv>
 #include <cstring>
 
-namespace ftms {
+#include "util/parse.h"
 
-std::optional<int64_t> ParseDecimal(std::string_view digits, int64_t lo,
-                                    int64_t hi) {
-  int64_t value = 0;
-  const char* end = digits.data() + digits.size();
-  const std::from_chars_result r =
-      std::from_chars(digits.data(), end, value);
-  if (r.ec != std::errc() || r.ptr != end || value < lo || value > hi) {
-    return std::nullopt;
-  }
-  return value;
-}
+namespace ftms {
 
 namespace {
 

@@ -15,6 +15,7 @@
 #include "qos/event_journal.h"
 #include "util/json.h"
 #include "util/metrics.h"
+#include "util/parse.h"
 #include "util/profiler.h"
 #include "util/timeseries.h"
 

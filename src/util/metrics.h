@@ -62,8 +62,8 @@ class Gauge {
 };
 
 // Fixed-width histogram over [lo, hi), out-of-range values clamped to the
-// edge buckets (mirrors util/stats Histogram, but with atomic cells so it
-// can be shared through the registry). Bucket counts are integer sums and
+// edge buckets, with atomic cells so it can be shared through the
+// registry; every exporter's histogram. Bucket counts are integer sums and
 // therefore deterministic; sum() uses floating-point atomic adds and is
 // order-dependent when fed concurrently (our recorders feed it serially).
 class HistogramCell {

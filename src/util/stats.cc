@@ -1,7 +1,6 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <sstream>
 
@@ -52,62 +51,6 @@ std::string StreamingStats::ToString() const {
   os << "n=" << count_ << " mean=" << mean() << " sd=" << stddev()
      << " min=" << min() << " max=" << max();
   return os.str();
-}
-
-Histogram::Histogram(double lo, double hi, int num_buckets)
-    : lo_(lo), hi_(hi), buckets_(static_cast<size_t>(num_buckets), 0) {
-  assert(hi > lo);
-  assert(num_buckets > 0);
-  width_ = (hi - lo) / num_buckets;
-}
-
-void Histogram::Add(double x) {
-  int idx = static_cast<int>((x - lo_) / width_);
-  idx = std::clamp(idx, 0, static_cast<int>(buckets_.size()) - 1);
-  ++buckets_[static_cast<size_t>(idx)];
-  ++count_;
-}
-
-double Histogram::Quantile(double q) const {
-  if (count_ == 0) return lo_;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count_);
-  double cum = 0;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    const double next = cum + static_cast<double>(buckets_[i]);
-    if (next >= target) {
-      const double frac =
-          buckets_[i] > 0 ? (target - cum) / static_cast<double>(buckets_[i])
-                          : 0.0;
-      return lo_ + (static_cast<double>(i) + frac) * width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
-std::string Histogram::ToString(int max_rows) const {
-  std::ostringstream os;
-  const int stride =
-      std::max(1, static_cast<int>(buckets_.size()) / std::max(1, max_rows));
-  for (size_t i = 0; i < buckets_.size(); i += static_cast<size_t>(stride)) {
-    int64_t sum = 0;
-    for (size_t j = i;
-         j < std::min(buckets_.size(), i + static_cast<size_t>(stride)); ++j) {
-      sum += buckets_[j];
-    }
-    os << "[" << lo_ + static_cast<double>(i) * width_ << ", "
-       << lo_ + static_cast<double>(i + static_cast<size_t>(stride)) * width_
-       << "): " << sum << "\n";
-  }
-  return os.str();
-}
-
-void TimeWeightedStats::Record(double value, double duration) {
-  assert(duration >= 0);
-  weighted_sum_ += value * duration;
-  total_time_ += duration;
-  peak_ = std::max(peak_, value);
 }
 
 }  // namespace ftms

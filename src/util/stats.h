@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <vector>
 
 namespace ftms {
 
@@ -37,52 +36,6 @@ class StreamingStats {
   double m2_ = 0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-// Fixed-width histogram over [lo, hi) with out-of-range values clamped to
-// the first/last bucket. Supports approximate quantiles.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int num_buckets);
-
-  void Add(double x);
-  int64_t count() const { return count_; }
-
-  // Approximate q-quantile (q in [0,1]) assuming uniform density inside a
-  // bucket. Returns lo() for an empty histogram.
-  double Quantile(double q) const;
-
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-  const std::vector<int64_t>& buckets() const { return buckets_; }
-
-  std::string ToString(int max_rows = 16) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  int64_t count_ = 0;
-  std::vector<int64_t> buckets_;
-};
-
-// Time-weighted average of a step function, e.g. buffer occupancy in
-// tracks over simulated cycles: call Record(value, duration) for each
-// interval during which the tracked quantity held `value`.
-class TimeWeightedStats {
- public:
-  void Record(double value, double duration);
-
-  double total_time() const { return total_time_; }
-  double time_average() const {
-    return total_time_ > 0 ? weighted_sum_ / total_time_ : 0.0;
-  }
-  double peak() const { return peak_; }
-
- private:
-  double weighted_sum_ = 0;
-  double total_time_ = 0;
-  double peak_ = 0;
 };
 
 }  // namespace ftms

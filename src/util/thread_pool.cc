@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
+#include <optional>
 
+#include "util/log.h"
 #include "util/metrics.h"
+#include "util/parse.h"
 
 namespace ftms {
 
@@ -62,12 +66,22 @@ void ThreadPool::WorkerLoop() {
 }
 
 int ThreadPool::DefaultThreadCount() {
-  if (const char* env = std::getenv("FTMS_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  // Resolved once, so a malformed value warns once.
+  static const int count = [] {
+    const char* env = std::getenv("FTMS_THREADS");
+    if (env != nullptr && env[0] != '\0') {
+      if (const std::optional<int64_t> n =
+              ParseDecimal(env, 1, std::numeric_limits<int>::max())) {
+        return static_cast<int>(*n);
+      }
+      FTMS_LOG(Warning) << "FTMS_THREADS must be a positive whole number, "
+                           "got '"
+                        << env << "'; using the hardware concurrency";
+    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? static_cast<int>(hw) : 1;
+  }();
+  return count;
 }
 
 ThreadPool& ThreadPool::Shared() {

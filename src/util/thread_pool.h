@@ -44,7 +44,8 @@ class ThreadPool {
 
   // Thread count used by Shared() and by components configured with
   // "0 = default": the FTMS_THREADS environment variable when set to a
-  // positive integer, else std::thread::hardware_concurrency().
+  // positive whole number, else std::thread::hardware_concurrency() (a
+  // malformed value warns). Read once per process.
   static int DefaultThreadCount();
 
   // Lazily-constructed process-wide pool of DefaultThreadCount() workers.

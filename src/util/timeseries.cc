@@ -18,27 +18,10 @@ bool ResolveEnabledFromEnv() {
   return env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
 }
 
-size_t CapacityFromEnv() {
-  if (const char* env = std::getenv("FTMS_TIMESERIES_CAPACITY")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 1) return static_cast<size_t>(v);
-  }
-  return 512;
-}
-
-int64_t IntervalFromEnv() {
-  if (const char* env = std::getenv("FTMS_TIMESERIES_INTERVAL_US")) {
-    const long long v = std::strtoll(env, nullptr, 10);
-    if (v > 0) return static_cast<int64_t>(v);
-  }
-  return 0;
-}
-
 }  // namespace
 
-TimeSeriesRecorder::TimeSeriesRecorder(size_t capacity, int64_t interval_us)
-    : capacity_(capacity > 1 ? capacity : CapacityFromEnv()),
-      interval_us_(interval_us >= 0 ? interval_us : IntervalFromEnv()) {}
+TimeSeriesRecorder::TimeSeriesRecorder(size_t capacity)
+    : capacity_(capacity > 1 ? capacity : kDefaultCapacity) {}
 
 TimeSeriesRecorder& TimeSeriesRecorder::Global() {
   static TimeSeriesRecorder* recorder =
@@ -123,10 +106,6 @@ void TimeSeriesRecorder::AddGaugeSeries(const std::string& name,
 void TimeSeriesRecorder::Sample(int64_t t_us) {
   std::lock_guard<std::mutex> lock(mu_);
   if (t_us <= last_sample_t_) return;  // once per distinct time
-  if (last_sample_t_ != INT64_MIN && interval_us_ > 0 &&
-      t_us < last_sample_t_ + interval_us_) {
-    return;
-  }
   const int64_t prev_t = last_sample_t_;
   last_sample_t_ = t_us;
   for (const auto& sp : series_) {

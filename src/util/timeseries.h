@@ -38,9 +38,6 @@ class Gauge;
 //   FTMS_TIMESERIES=1            enable the global recorder
 //   FTMS_TIMESERIES_OUT=path     write the JSON dump (exporters/CLI)
 //   FTMS_TIMESERIES_CSV=path     write the CSV dump
-//   FTMS_TIMESERIES_CAPACITY=N   per-series ring capacity (default 512)
-//   FTMS_TIMESERIES_INTERVAL_US=N  minimum simulated-us between pull
-//                                  samples (default 0 = every Sample())
 class TimeSeriesRecorder {
  public:
   struct Point {
@@ -48,10 +45,10 @@ class TimeSeriesRecorder {
     double v = 0;
   };
 
-  // `capacity` 0 uses FTMS_TIMESERIES_CAPACITY (default 512);
-  // `interval_us` < 0 uses FTMS_TIMESERIES_INTERVAL_US (default 0).
-  explicit TimeSeriesRecorder(size_t capacity = 0,
-                              int64_t interval_us = -1);
+  static constexpr size_t kDefaultCapacity = 512;
+
+  // Per-series ring capacity; below 2 uses kDefaultCapacity.
+  explicit TimeSeriesRecorder(size_t capacity = kDefaultCapacity);
 
   TimeSeriesRecorder(const TimeSeriesRecorder&) = delete;
   TimeSeriesRecorder& operator=(const TimeSeriesRecorder&) = delete;
@@ -82,8 +79,7 @@ class TimeSeriesRecorder {
 
   // Samples every pull-model source at simulated time t_us; gated so a
   // recorder shared by several components samples at most once per
-  // distinct time and at most once per configured interval. Serial sync
-  // points only.
+  // distinct time. Serial sync points only.
   void Sample(int64_t t_us);
 
   size_t num_series() const;
@@ -129,7 +125,6 @@ class TimeSeriesRecorder {
   void AppendLocked(Series& s, int64_t t_us, double v);
 
   const size_t capacity_;
-  const int64_t interval_us_;
   // Guards the series table; all writers are serial sync points, the
   // mutex is defensive (exports racing a late Append stay well-formed).
   mutable std::mutex mu_;

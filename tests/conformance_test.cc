@@ -205,7 +205,9 @@ TEST(ConformanceTest, OverlappingFailuresVoidTheBounds) {
 // A deliberately broken SR variant: after a failure it charges one
 // delivery as missed even though parity masked it — the exact bug class
 // (accounting drift between masking and delivery) the watchdog exists to
-// catch. Test-only; lives nowhere near the production schedulers.
+// catch. The forged delivery is a whole group, its first track missed, so
+// the stream stays on a group boundary as Streaming RAID's reads require.
+// Test-only; lives nowhere near the production schedulers.
 class BrokenStreamingRaidScheduler : public StreamingRaidScheduler {
  public:
   using StreamingRaidScheduler::StreamingRaidScheduler;
@@ -216,7 +218,9 @@ class BrokenStreamingRaidScheduler : public StreamingRaidScheduler {
     if (disks_->NumFailed() > 0 && !tripped_) {
       for (const auto& stream : streams()) {
         if (stream->state() == StreamState::kActive) {
-          DeliverTrack(FindStream(stream->id()), /*on_time=*/false);
+          Stream* victim = FindStream(stream->id());
+          DeliverTrack(victim, /*on_time=*/false);
+          DeliverTracksOnTime(victim, layout_.DataBlocksPerGroup() - 1);
           tripped_ = true;
           break;
         }

@@ -4,6 +4,7 @@
 
 #include "disk/disk_array.h"
 #include "disk/disk_model.h"
+#include "layout/layout.h"
 
 namespace ftms {
 namespace {
@@ -93,28 +94,27 @@ TEST(DiskArrayTest, ClusterGeometry) {
   EXPECT_EQ(array.ClusterOf(7), 1);
   EXPECT_EQ(array.IndexInCluster(7), 2);
   EXPECT_EQ(array.DiskId(1, 2), 7);
-  EXPECT_EQ(array.ParityDiskOf(0), 4);
-  EXPECT_EQ(array.ParityDiskOf(3), 19);
 }
 
 TEST(DiskArrayTest, FailureAccounting) {
   DiskParameters p;
   DiskArray array = std::move(DiskArray::Create(20, 5, p).value());
+  const auto layout = CreateLayout(Scheme::kStreamingRaid, 20, 5).value();
   EXPECT_EQ(array.NumFailed(), 0);
   EXPECT_TRUE(array.FailDisk(3).ok());
   EXPECT_TRUE(array.FailDisk(11).ok());
   EXPECT_EQ(array.NumFailed(), 2);
   EXPECT_EQ(array.NumFailedInCluster(0), 1);
   EXPECT_EQ(array.NumFailedInCluster(2), 1);
-  EXPECT_FALSE(array.HasCatastrophicClusterFailure());
+  EXPECT_FALSE(layout->LosesGroup(array.FailedPerCluster()));
   EXPECT_EQ(array.FailedDisks(), (std::vector<int>{3, 11}));
 
   // Second failure in cluster 0: catastrophic for clustered schemes.
   EXPECT_TRUE(array.FailDisk(4).ok());
-  EXPECT_TRUE(array.HasCatastrophicClusterFailure());
+  EXPECT_TRUE(layout->LosesGroup(array.FailedPerCluster()));
 
   EXPECT_TRUE(array.RepairDisk(4).ok());
-  EXPECT_FALSE(array.HasCatastrophicClusterFailure());
+  EXPECT_FALSE(layout->LosesGroup(array.FailedPerCluster()));
   EXPECT_FALSE(array.FailDisk(99).ok());
   EXPECT_FALSE(array.RepairDisk(-1).ok());
 }

@@ -124,6 +124,20 @@ TEST_P(SchedulerProperty, SingleFailureNeverLosesDataAtGroupGranularity) {
       << SchemeName(scheme) << " C=" << c;
 }
 
+TEST_P(SchedulerProperty, AddStreamRejectsObjectsOutsideThePlacement) {
+  // Placement divides 32-bit values: a negative id or 2^32 tracks cannot
+  // be addressed, so the scheduler refuses the stream.
+  const auto [scheme, c] = GetParam();
+  SchedRig rig = MakeRig(scheme, c, DisksFor(scheme, c, 3));
+  EXPECT_EQ(rig.sched->AddStream(TestObject(-3, 40)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      rig.sched->AddStream(TestObject(1, INT64_C(1) << 32)).status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_TRUE(rig.sched->streams().empty());
+  EXPECT_TRUE(rig.sched->AddStream(TestObject(1, 40)).ok());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     SchemesAndGroups, SchedulerProperty,
     ::testing::Combine(::testing::Values(Scheme::kStreamingRaid,

@@ -79,7 +79,7 @@ TEST(StreamingRaidTest, TwoFailuresInClusterAreCatastrophic) {
   // Two missing blocks per affected group cannot be rebuilt from one
   // parity block: hiccups on every pass over cluster 0.
   EXPECT_GT(rig.sched->FindStream(id)->hiccup_count(), 0);
-  EXPECT_TRUE(rig.disks->HasCatastrophicClusterFailure());
+  EXPECT_TRUE(rig.layout->LosesGroup(rig.disks->FailedPerCluster()));
 }
 
 TEST(StreamingRaidTest, FailuresInDistinctClustersAreMasked) {

@@ -118,6 +118,63 @@ TEST(ServerTest, IbAdjacentClusterCatastrophe) {
   EXPECT_TRUE(server->CatastrophicFailure());
 }
 
+// P+Q clusters repair any two erasures per group: two failures in one
+// cluster leave every group recoverable (and rebuildable); only a third
+// loses a group.
+TEST(ServerTest, DualParitySurvivesTwoFailuresInACluster) {
+  for (Scheme scheme : kDualParitySchemes) {
+    ServerConfig config = SmallConfig(scheme);
+    config.parity_group_size = 6;
+    config.params.num_disks = 24;
+    auto server = std::move(MultimediaServer::Create(config).value());
+    ASSERT_TRUE(server->FailDisk(0).ok());
+    ASSERT_TRUE(server->FailDisk(1).ok());  // same cluster
+    EXPECT_FALSE(server->CatastrophicFailure()) << SchemeAbbrev(scheme);
+    EXPECT_TRUE(server->StartRebuild(0).ok()) << SchemeAbbrev(scheme);
+    ASSERT_TRUE(server->FailDisk(2).ok());  // a third in the cluster
+    EXPECT_TRUE(server->CatastrophicFailure()) << SchemeAbbrev(scheme);
+  }
+}
+
+// IB disks hold their own cluster's data and the previous cluster's
+// parity: two failures in one cluster or in adjacent clusters (the ring
+// wraps) lose a group, two in clusters further apart do not.
+TEST(ServerTest, IbCatastropheFollowsClusterAdjacency) {
+  ServerConfig config = SmallConfig(Scheme::kImprovedBandwidth);
+  config.params.num_disks = 16;  // four clusters of four
+  const struct {
+    int a, b;
+    bool catastrophic;
+  } kCases[] = {{0, 1, true},    // same cluster
+                {0, 4, true},    // clusters 0 and 1
+                {3, 12, true},   // clusters 0 and 3 (wrap-around)
+                {0, 8, false},   // clusters 0 and 2
+                {5, 13, false}}; // clusters 1 and 3
+  for (const auto& c : kCases) {
+    auto server = std::move(MultimediaServer::Create(config).value());
+    ASSERT_TRUE(server->FailDisk(c.a).ok());
+    EXPECT_FALSE(server->CatastrophicFailure());
+    ASSERT_TRUE(server->FailDisk(c.b).ok());
+    EXPECT_EQ(server->CatastrophicFailure(), c.catastrophic)
+        << "disks " << c.a << " and " << c.b;
+  }
+}
+
+// Placement divides 32-bit values: objects it cannot address are turned
+// away at the door rather than served from the wrong disks.
+TEST(ServerTest, RejectsObjectsOutsideThePlacementDomain) {
+  auto server = std::move(
+      MultimediaServer::Create(SmallConfig(Scheme::kStreamingRaid))
+          .value());
+  MediaObject negative = SmallMovie(-3);
+  EXPECT_EQ(server->AddObject(negative).code(),
+            StatusCode::kInvalidArgument);
+  MediaObject huge = SmallMovie(2);
+  huge.num_tracks = INT64_C(1) << 32;
+  EXPECT_EQ(server->AddObject(huge).code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(server->AddObject(SmallMovie(3)).ok());
+}
+
 TEST(ServerTest, StatusLinePinsItsFormat) {
   EventJournal journal;
   QosLedger ledger;

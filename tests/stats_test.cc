@@ -51,23 +51,6 @@ TEST(StreamingStatsTest, ConfidenceShrinksWithSamples) {
   EXPECT_GT(small.ConfidenceHalfWidth95(), large.ConfidenceHalfWidth95());
 }
 
-TEST(HistogramTest, QuantilesOfUniformFill) {
-  Histogram h(0, 100, 100);
-  for (int i = 0; i < 100; ++i) h.Add(i + 0.5);
-  EXPECT_NEAR(h.Quantile(0.5), 50, 1.5);
-  EXPECT_NEAR(h.Quantile(0.9), 90, 1.5);
-  EXPECT_EQ(h.count(), 100);
-}
-
-TEST(HistogramTest, OutOfRangeClamps) {
-  Histogram h(0, 10, 10);
-  h.Add(-5);
-  h.Add(25);
-  EXPECT_EQ(h.count(), 2);
-  EXPECT_EQ(h.buckets().front(), 1);
-  EXPECT_EQ(h.buckets().back(), 1);
-}
-
 TEST(StreamingStatsTest, MergeWithEmptyOperands) {
   StreamingStats filled;
   for (int i = 1; i <= 4; ++i) filled.Add(i);
@@ -98,47 +81,6 @@ TEST(StreamingStatsTest, MergeWithEmptyOperands) {
   EXPECT_EQ(a.min(), 0.0);
   EXPECT_EQ(a.max(), 0.0);
   EXPECT_EQ(a.ConfidenceHalfWidth95(), 0.0);
-}
-
-TEST(HistogramTest, QuantileEdgeCases) {
-  // Empty histogram: every quantile is lo().
-  Histogram empty(2.0, 10.0, 4);
-  EXPECT_DOUBLE_EQ(empty.Quantile(0.0), 2.0);
-  EXPECT_DOUBLE_EQ(empty.Quantile(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(empty.Quantile(1.0), 2.0);
-
-  // Single bucket: quantiles interpolate linearly across [lo, hi).
-  Histogram one(0.0, 1.0, 1);
-  one.Add(0.3);
-  one.Add(0.7);
-  EXPECT_DOUBLE_EQ(one.Quantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(one.Quantile(0.5), 0.5);
-  EXPECT_DOUBLE_EQ(one.Quantile(1.0), 1.0);
-
-  // Out-of-range q clamps to [0, 1].
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.Add(i + 0.5);
-  EXPECT_DOUBLE_EQ(h.Quantile(-3.0), h.Quantile(0.0));
-  EXPECT_DOUBLE_EQ(h.Quantile(7.0), h.Quantile(1.0));
-  EXPECT_DOUBLE_EQ(h.Quantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(h.Quantile(1.0), 10.0);
-
-  // Clamped out-of-range samples land in the edge buckets, so extreme
-  // quantiles report the histogram bounds, not the raw values.
-  Histogram clamped(0.0, 10.0, 10);
-  clamped.Add(-100.0);
-  clamped.Add(500.0);
-  EXPECT_DOUBLE_EQ(clamped.Quantile(1.0), 10.0);
-  EXPECT_GE(clamped.Quantile(0.0), 0.0);
-}
-
-TEST(TimeWeightedStatsTest, WeightsByDuration) {
-  TimeWeightedStats s;
-  s.Record(10.0, 1.0);
-  s.Record(0.0, 9.0);
-  EXPECT_DOUBLE_EQ(s.time_average(), 1.0);
-  EXPECT_DOUBLE_EQ(s.peak(), 10.0);
-  EXPECT_DOUBLE_EQ(s.total_time(), 10.0);
 }
 
 }  // namespace

@@ -286,9 +286,12 @@ TEST(TelemetryServerTest, ConcurrentScrapesDuringRunningDrill) {
   EXPECT_FALSE(server->rebuild().Active());
   // The drill outruns the scrapers by orders of magnitude; keep the
   // publisher cycling until every endpoint has been scraped a few times
-  // so the test actually overlaps scrapes with publications.
-  guard = 0;
-  while (scrapes.load() < 12 && ++guard < 20000) {
+  // so the test actually overlaps scrapes with publications. A wall-clock
+  // deadline bounds the wait: how many cycles that takes depends on how
+  // cheap a cycle is and on when the scraper threads first get a CPU.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (scrapes.load() < 12 && std::chrono::steady_clock::now() < deadline) {
     server->RunCycles(1);
   }
   done.store(true, std::memory_order_release);

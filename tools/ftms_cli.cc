@@ -58,10 +58,10 @@
 #include "reliability/birth_death.h"
 #include "reliability/markov_sim.h"
 #include "server/server.h"
-#include "telemetry/http.h"
 #include "telemetry/top.h"
 #include "util/json.h"
 #include "util/metrics.h"
+#include "util/parse.h"
 #include "util/profiler.h"
 #include "util/timeseries.h"
 #include "util/units.h"
@@ -87,17 +87,35 @@ int Usage() {
   return 2;
 }
 
-Scheme ParseScheme(const char* arg) {
+// Command-line values are read whole: an unknown scheme name or a
+// partial number ("5x", "1O") is a usage error, never a stand-in value.
+std::optional<Scheme> ParseScheme(const char* arg) {
+  if (std::strcmp(arg, "sr") == 0) return Scheme::kStreamingRaid;
   if (std::strcmp(arg, "sg") == 0) return Scheme::kStaggeredGroup;
   if (std::strcmp(arg, "nc") == 0) return Scheme::kNonClustered;
   if (std::strcmp(arg, "ib") == 0) return Scheme::kImprovedBandwidth;
   if (std::strcmp(arg, "sr2") == 0) return Scheme::kStreamingRaid2;
   if (std::strcmp(arg, "nc2") == 0) return Scheme::kNonClustered2;
-  return Scheme::kStreamingRaid;
+  return std::nullopt;
+}
+
+bool ParseIntArg(const char* arg, int* out) {
+  const std::optional<int64_t> v =
+      ParseDecimal(arg, std::numeric_limits<int>::min(),
+                   std::numeric_limits<int>::max());
+  if (v) *out = static_cast<int>(*v);
+  return v.has_value();
+}
+
+bool ParseRealArg(const char* arg, double* out) {
+  const std::optional<double> v = ParseReal(arg);
+  if (v) *out = *v;
+  return v.has_value();
 }
 
 int CmdTables(int argc, char** argv) {
-  const int c = argc > 2 ? std::atoi(argv[2]) : 5;
+  int c = 5;
+  if (argc > 2 && !ParseIntArg(argv[2], &c)) return Usage();
   SystemParameters params;
   auto rows = ComputeComparisonTable(params, c);
   if (!rows.ok()) {
@@ -112,11 +130,15 @@ int CmdTables(int argc, char** argv) {
 int CmdPlan(int argc, char** argv) {
   if (argc < 4) return Usage();
   DesignParameters design;
-  design.working_set_mb = std::atof(argv[2]) * 1000.0;
   PlanRequest request;
-  request.required_streams = std::atof(argv[3]);
-  if (argc > 4) design.disk_cost_per_mb = std::atof(argv[4]);
-  if (argc > 5) design.memory_cost_per_mb = std::atof(argv[5]);
+  double working_set_gb = 0;
+  if (!ParseRealArg(argv[2], &working_set_gb) ||
+      !ParseRealArg(argv[3], &request.required_streams) ||
+      (argc > 4 && !ParseRealArg(argv[4], &design.disk_cost_per_mb)) ||
+      (argc > 5 && !ParseRealArg(argv[5], &design.memory_cost_per_mb))) {
+    return Usage();
+  }
+  design.working_set_mb = working_set_gb * 1000.0;
   SystemParameters params;
   params.k_reserve = 5;
   const auto plans = PlanAllSchemes(design, params, request);
@@ -141,12 +163,17 @@ int CmdPlan(int argc, char** argv) {
 int CmdSimulate(int argc, char** argv) {
   if (argc < 7) return Usage();
   ServerConfig config;
-  config.scheme = ParseScheme(argv[2]);
-  config.parity_group_size = std::atoi(argv[3]);
-  config.params.num_disks = std::atoi(argv[4]);
-  const int streams = std::atoi(argv[5]);
-  const int cycles = std::atoi(argv[6]);
-  const int fail_disk = argc > 7 ? std::atoi(argv[7]) : -1;
+  const std::optional<Scheme> scheme = ParseScheme(argv[2]);
+  int streams = 0;
+  int cycles = 0;
+  int fail_disk = -1;
+  if (!scheme || !ParseIntArg(argv[3], &config.parity_group_size) ||
+      !ParseIntArg(argv[4], &config.params.num_disks) ||
+      !ParseIntArg(argv[5], &streams) || !ParseIntArg(argv[6], &cycles) ||
+      (argc > 7 && !ParseIntArg(argv[7], &fail_disk))) {
+    return Usage();
+  }
+  config.scheme = *scheme;
   config.params.k_reserve =
       std::min(3, config.params.num_disks - 1);
 
@@ -250,7 +277,9 @@ int CmdQos(int argc, char** argv) {
   std::string journal_out;
   int positional[2] = {5, 0};  // C, D
   int npos = 0;
-  Scheme scheme = ParseScheme(argv[2]);
+  const std::optional<Scheme> parsed_scheme = ParseScheme(argv[2]);
+  if (!parsed_scheme) return Usage();
+  const Scheme scheme = *parsed_scheme;
   for (int i = 3; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
@@ -258,7 +287,7 @@ int CmdQos(int argc, char** argv) {
                i + 1 < argc) {
       journal_out = argv[++i];
     } else if (npos < 2) {
-      positional[npos++] = std::atoi(argv[i]);
+      if (!ParseIntArg(argv[i], &positional[npos++])) return Usage();
     }
   }
   const int c = positional[0];
@@ -462,9 +491,9 @@ int CmdTop(int argc, char** argv) {
       options.color = false;
     } else if (std::strcmp(argv[i], "--interval-ms") == 0 &&
                i + 1 < argc) {
-      options.interval_ms = std::atoi(argv[++i]);
+      if (!ParseIntArg(argv[++i], &options.interval_ms)) return Usage();
     } else if (std::strcmp(argv[i], "--frames") == 0 && i + 1 < argc) {
-      options.max_frames = std::atoi(argv[++i]);
+      if (!ParseIntArg(argv[++i], &options.max_frames)) return Usage();
     } else {
       return Usage();
     }
@@ -513,9 +542,12 @@ int CmdReport(int argc, char** argv) {
 int CmdReliability(int argc, char** argv) {
   if (argc < 4) return Usage();
   SystemParameters params;
-  params.num_disks = std::atoi(argv[2]);
-  const int c = std::atoi(argv[3]);
-  params.k_reserve = argc > 4 ? std::atoi(argv[4]) : 3;
+  int c = 0;
+  params.k_reserve = 3;
+  if (!ParseIntArg(argv[2], &params.num_disks) || !ParseIntArg(argv[3], &c) ||
+      (argc > 4 && !ParseIntArg(argv[4], &params.k_reserve))) {
+    return Usage();
+  }
   std::printf("D = %d, C = %d, K = %d, MTTF = %.0f h, MTTR = %.0f h\n",
               params.num_disks, c, params.k_reserve,
               params.disk.mttf_hours, params.disk.mttr_hours);
